@@ -9,12 +9,13 @@
 //! Four configurations are measured on the same utterance batch:
 //!
 //! * **naive** — fresh working memory per utterance, software OLT off,
-//!   legacy scalar kernel (the decode path as it was before the
+//!   the scalar reference search (the decode path as it was before the
 //!   zero-alloc refactor and the SoA kernel),
 //! * **optimized, single thread** — one warm [`DecodeScratch`] reused
 //!   across utterances, the software OLT, and the SoA frame kernel,
-//! * **legacy-kernel optimized** — identical to the above but with the
-//!   scalar kernel, timed in the *same* repetition so the
+//! * **legacy-kernel optimized** — identical to the above but through
+//!   the scalar reference search ([`reference_decode`]) on the same warm
+//!   scratch, timed in the *same* repetition so the
 //!   `kernel_speedup` ratio is immune to machine-speed drift,
 //! * **optimized, multi-worker** — the utterance-parallel pool across
 //!   a cores-aware worker ladder (`{1, 2, 4}` ∪ powers of two up to
@@ -30,7 +31,9 @@ use std::time::Instant;
 
 use unfold::{decode_batch, System, TaskSpec};
 use unfold_am::Utterance;
-use unfold_decoder::{DecodeConfig, DecodeKernel, DecodeScratch, NullSink, OtfDecoder};
+use unfold_decoder::{
+    reference_decode, DecodeConfig, DecodeResult, DecodeScratch, NullSink, OtfDecoder,
+};
 
 /// Software-OLT capacity used by the optimized configurations. The
 /// paper's hardware table holds 32K entries (Fig 7); the software memo
@@ -202,39 +205,43 @@ pub fn measure(system: &System, utts: &[Utterance], reps: usize) -> DecodeBenchR
     let audio_seconds: f64 = utts.iter().map(|u| u.audio_seconds()).sum();
 
     // Naive: the pre-optimization shape — fresh scratch, OLT off,
-    // legacy scalar kernel.
-    let naive_dec = OtfDecoder::new(
-        DecodeConfig::builder()
-            .kernel(DecodeKernel::Legacy)
-            .build()
-            .expect("valid bench config"),
-    );
-    let naive_words: Vec<Vec<u32>> = utts
-        .iter()
-        .map(|u| {
-            naive_dec
-                .decode(&system.am_comp, &system.lm_comp, &u.scores, &mut NullSink)
-                .words
-        })
-        .collect();
+    // scalar reference search.
+    let naive_cfg = DecodeConfig::default();
+    let naive = |u: &Utterance| -> DecodeResult {
+        let (res, _) = reference_decode(
+            &naive_cfg,
+            &system.am_comp,
+            &system.lm_comp,
+            &u.scores,
+            &mut DecodeScratch::new(),
+            false,
+            &mut NullSink,
+        );
+        res
+    };
+    let naive_words: Vec<Vec<u32>> = utts.iter().map(|u| naive(u).words).collect();
 
     // Optimized: warm scratch + software OLT + SoA kernel.
-    let opt_dec = OtfDecoder::new(
-        DecodeConfig::builder()
-            .olt_entries(BENCH_OLT_ENTRIES)
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .expect("valid bench config"),
-    );
-    // The optimized configuration's legacy-kernel twin, timed in the
-    // same repetitions so kernel_speedup cancels machine-speed drift.
-    let legacy_dec = OtfDecoder::new(
-        DecodeConfig::builder()
-            .olt_entries(BENCH_OLT_ENTRIES)
-            .kernel(DecodeKernel::Legacy)
-            .build()
-            .expect("valid bench config"),
-    );
+    let opt_cfg = DecodeConfig::builder()
+        .olt_entries(BENCH_OLT_ENTRIES)
+        .build()
+        .expect("valid bench config");
+    let opt_dec = OtfDecoder::new(opt_cfg);
+    // The optimized configuration's scalar-reference twin on the same
+    // warm scratch, timed in the same repetitions so kernel_speedup
+    // cancels machine-speed drift.
+    let legacy = |u: &Utterance, scratch: &mut DecodeScratch| -> DecodeResult {
+        let (res, _) = reference_decode(
+            &opt_cfg,
+            &system.am_comp,
+            &system.lm_comp,
+            &u.scores,
+            scratch,
+            false,
+            &mut NullSink,
+        );
+        res
+    };
     let mut scratch = DecodeScratch::new();
     let mut olt_probes = 0u64;
     let mut olt_hits = 0u64;
@@ -247,13 +254,7 @@ pub fn measure(system: &System, utts: &[Utterance], reps: usize) -> DecodeBenchR
             &mut NullSink,
         );
         assert_eq!(r.words, *naive, "optimizations must not change output");
-        let l = legacy_dec.decode_with(
-            &system.am_comp,
-            &system.lm_comp,
-            &u.scores,
-            &mut scratch,
-            &mut NullSink,
-        );
+        let l = legacy(u, &mut scratch);
         assert_eq!(l.words, *naive, "kernels must not change output");
         olt_probes += r.stats.olt_probes;
         olt_hits += r.stats.olt_hits;
@@ -283,7 +284,7 @@ pub fn measure(system: &System, utts: &[Utterance], reps: usize) -> DecodeBenchR
     for _ in 0..reps {
         let t0 = Instant::now();
         for u in utts {
-            naive_dec.decode(&system.am_comp, &system.lm_comp, &u.scores, &mut NullSink);
+            naive(u);
         }
         naive_samples.push(t0.elapsed().as_secs_f64());
 
@@ -301,13 +302,7 @@ pub fn measure(system: &System, utts: &[Utterance], reps: usize) -> DecodeBenchR
 
         let t0 = Instant::now();
         for u in utts {
-            legacy_dec.decode_with(
-                &system.am_comp,
-                &system.lm_comp,
-                &u.scores,
-                &mut scratch,
-                &mut NullSink,
-            );
+            legacy(u, &mut scratch);
         }
         legacy_samples.push(t0.elapsed().as_secs_f64());
 

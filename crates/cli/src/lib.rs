@@ -43,9 +43,14 @@ use unfold::experiments::{
     run_baseline_configured_jobs, run_baseline_traced_jobs, run_unfold_jobs,
     run_unfold_traced_jobs, SystemRun,
 };
-use unfold::{decode_batch_recorded, pack_system, AmModel, LmModel, Models, System, TaskSpec};
+use unfold::{decode_batch, pack_system, AmModel, LmModel, Models, System, TaskSpec};
+use unfold_am::AcousticScores;
 use unfold_compress::{load_am, load_lm, save_am, save_lm, Bundle};
-use unfold_decoder::{wer, DecodeConfig, MetricsSink, NullSink, OtfDecoder, TraceSink, WerReport};
+use unfold_decoder::{
+    nbest_list, wer, AmSource, DecodeConfig, DecodeResult, DecodeScratch, LmSource, MetricsSink,
+    NullSink, OtfDecoder, StreamSession, TraceRecorder, TraceSink, WerReport, WordLattice,
+    WorkScratch,
+};
 use unfold_serve::{
     run_bias_compare, run_loadgen, run_saturation_sweep, saturation_ladder, BiasCompare, ClientMsg,
     LoadgenConfig, PipelineCompare, ServeConfig, Server, ServerMsg, TcpFront,
@@ -535,40 +540,59 @@ fn cmd_decode(args: &[String]) -> Result<String, Error> {
     } else {
         &mut null
     };
+    // With --nbest or --confidence every utterance runs one
+    // lattice-recording session: the 1-best result, the N-best list and
+    // the word confidences all come out of that one search.
+    let record_lattice = nbest > 1 || confidence;
+    let decode_one = |utt: &unfold_am::Utterance,
+                      scratch: &mut DecodeScratch,
+                      sink: &mut dyn TraceSink|
+     -> (DecodeResult, Option<WordLattice>) {
+        if record_lattice {
+            let (res, lattice) = lattice_decode(config, am, lm, &utt.scores, sink);
+            (res, Some(lattice))
+        } else {
+            (
+                decoder.decode_with(am, lm, &utt.scores, scratch, sink),
+                None,
+            )
+        }
+    };
     // Decode output is bit-identical for any worker count, so --jobs
     // only changes wall time; with telemetry on, the recorded traces
     // replay serially in utterance order to keep it deterministic too.
-    let results: Vec<unfold_decoder::DecodeResult> = if jobs <= 1 {
-        let mut scratch = unfold_decoder::DecodeScratch::new();
+    let results: Vec<(DecodeResult, Option<WordLattice>)> = if jobs <= 1 {
+        let mut scratch = DecodeScratch::new();
         utts.iter()
-            .map(|utt| decoder.decode_with(am, lm, &utt.scores, &mut scratch, &mut *sink))
+            .map(|utt| decode_one(utt, &mut scratch, &mut *sink))
             .collect()
     } else {
-        let (pairs, _pool) = decode_batch_recorded(&utts, jobs, |_i, utt, scratch, rec| {
-            decoder.decode_with(am, lm, &utt.scores, scratch, rec)
+        let (outs, _pool) = decode_batch(&utts, jobs, |_i, utt, scratch| {
+            let mut rec = TraceRecorder::new();
+            let out = decode_one(utt, scratch, &mut rec);
+            (out, rec)
         });
-        pairs
-            .into_iter()
-            .map(|(res, trace)| {
+        outs.into_iter()
+            .map(|(out, trace)| {
                 if metrics_path.is_some() {
                     trace.replay(&mut *sink);
                 }
-                res
+                out
             })
             .collect()
     };
-    for (i, (utt, res)) in utts.iter().zip(&results).enumerate() {
+    for (i, (utt, (res, lattice))) in utts.iter().zip(&results).enumerate() {
         report.accumulate(wer(&utt.words, &res.words));
         let _ = writeln!(s, "utt {i}: ref {:?}", utt.words);
         let _ = writeln!(s, "       hyp {:?} (cost {:.2})", res.words, res.cost);
+        let Some(lattice) = lattice else { continue };
         if nbest > 1 {
-            let list = decoder.decode_nbest(am, lm, &utt.scores, nbest, &mut *sink);
+            let list = nbest_list(res, lattice, nbest);
             for (rank, (words, cost)) in list.iter().enumerate().skip(1) {
                 let _ = writeln!(s, "       #{} {:?} (cost {cost:.2})", rank + 1, words);
             }
         }
         if confidence && res.is_complete() {
-            let (_, lattice) = decoder.decode_lattice(am, lm, &utt.scores, &mut *sink);
             let hyps = lattice.best_path_detail();
             let spans = res.word_spans();
             for (hyp, (word, first, last)) in hyps.iter().zip(&spans) {
@@ -595,6 +619,26 @@ fn cmd_decode(args: &[String]) -> Result<String, Error> {
         let _ = writeln!(s, "{}", export_metrics(&metrics, path)?);
     }
     Ok(s)
+}
+
+/// Decodes one utterance through a lattice-recording session: the
+/// 1-best result and the word lattice come out of the same search.
+fn lattice_decode<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+    config: DecodeConfig,
+    am: &A,
+    lm: &L,
+    scores: &AcousticScores,
+    sink: &mut dyn TraceSink,
+) -> (DecodeResult, WordLattice) {
+    let mut work = WorkScratch::new();
+    work.begin(&config);
+    let mut session = StreamSession::new(config);
+    session.enable_lattice();
+    session.seed(am, lm, &mut work, sink);
+    for t in 0..scores.num_frames() {
+        session.push_frame(am, lm, &mut work, scores.frame(t), sink);
+    }
+    session.finalize_lattice(am, sink)
 }
 
 /// Runs the selected accelerator configuration, teeing telemetry into
@@ -1408,6 +1452,41 @@ mod tests {
         }
         assert!(frames >= 1, "at least one frame record per decoded frame");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn nbest_and_confidence_search_each_utterance_once() {
+        // N-best lists and confidences come off the lattice of the one
+        // search that produced the 1-best, so the exported frame-record
+        // count matches a plain decode, on one worker and on two.
+        let frame_records = |extra: &[&str]| {
+            let path = std::env::temp_dir().join(format!(
+                "unfold-once-{}-{}.jsonl",
+                std::process::id(),
+                extra.join("")
+            ));
+            let mut args = vec![
+                "decode",
+                "--task",
+                "tiny",
+                "--utterances",
+                "2",
+                "--metrics",
+                path.to_str().unwrap(),
+            ];
+            args.extend_from_slice(extra);
+            let out = run(&sv(&args)).unwrap();
+            std::fs::remove_file(&path).ok();
+            let receipt = out.lines().find(|l| l.starts_with("metrics:")).unwrap();
+            receipt.split_whitespace().nth(1).unwrap().to_string()
+        };
+        let plain = frame_records(&[]);
+        for extra in [
+            &["--nbest", "3", "--confidence"][..],
+            &["--nbest", "3", "--confidence", "--jobs", "2"][..],
+        ] {
+            assert_eq!(frame_records(extra), plain, "{extra:?}");
+        }
     }
 
     #[test]

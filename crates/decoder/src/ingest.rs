@@ -1,14 +1,9 @@
-//! The unified frame-ingest surface.
+//! The frame-ingest vocabulary.
 //!
-//! Before this module the codebase grew three divergent ways to hand a
-//! frame to a decoder: `OtfStream::push_frame(costs)` took a borrowed
-//! score row, `StreamSession::push_frame` took the same row plus the
-//! models and a scratch, and the serve wire protocol shipped raw score
-//! rows in its own `Frames` message. None of them could carry anything
-//! *other* than precomputed scores, which blocked the paper's §5.2
-//! batch pipeline: the GPU scores features for batch *i+1* while the
-//! accelerator searches batch *i*, so the serving layer must accept
-//! **features** and own the scoring step.
+//! The paper's §5.2 batch pipeline has the GPU score features for
+//! batch *i+1* while the accelerator searches batch *i*, so the serving
+//! layer must accept **features**, not only precomputed score rows, and
+//! own the scoring step.
 //!
 //! [`FrameInput`] is the one currency all ingest paths now speak — a
 //! frame is either a precomputed score row or a raw feature vector.
@@ -20,10 +15,10 @@
 //! pipelined-equals-lockstep bit-identity guarantee pinned by the
 //! `pipeline-identity` verify check.
 //!
-//! [`SessionIngest`] is the trait every session-shaped ingest surface
-//! implements ([`crate::OtfStream`] here, the serve handle's bound
-//! session in `unfold-serve`), so callers generic over "somewhere to
-//! push frames" stop caring which layer they talk to.
+//! Frames enter a decode in one of two places:
+//! [`crate::StreamSession::ingest_frame`] for a session the caller
+//! drives, and `ServeHandle::ingest_frame` in `unfold-serve` for a
+//! session the server's workers drive.
 
 use std::sync::Arc;
 use unfold_am::GmmModel;
@@ -240,19 +235,6 @@ impl AcousticScorer for GmmScorer {
             }
         }
     }
-}
-
-/// A session-shaped surface frames flow into. Implemented by
-/// [`crate::OtfStream`] (single-session, models pinned) and by the
-/// serve layer's bound session handle; generic producers (the wire
-/// front-end, load generators, tests) push [`FrameInput`]s without
-/// caring which layer sits underneath.
-pub trait SessionIngest {
-    /// Why a frame was refused (queue full, scoring failure, …).
-    type Error: std::error::Error;
-
-    /// Consumes one frame.
-    fn ingest(&mut self, frame: FrameInput) -> Result<(), Self::Error>;
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! The SoA frame kernel ([`crate::config::DecodeKernel::Soa`]).
+//! The SoA frame kernel: the decoder's one production frame loop.
 //!
-//! Same search, different loop shape. The legacy kernel walks the
-//! token map entry-by-entry, re-hashing on every relaxation; this
-//! kernel exploits the struct-of-arrays [`TokenStore`] layout so the
+//! Same search as the scalar reference loop in [`crate::otf`]
+//! (reachable only through [`crate::otf::reference_decode`]), different
+//! loop shape. The reference walks the token map entry-by-entry,
+//! re-hashing on every relaxation; this kernel exploits the struct-of-arrays [`TokenStore`] layout so the
 //! hot phases run over contiguous lanes:
 //!
 //! * **Threshold** — the beam compare runs over the `costs` lane as a
@@ -64,8 +65,16 @@ fn tick(sink: &mut dyn TraceSink, t0: Option<Instant>, phase: KernelPhase) {
     }
 }
 
-/// SoA counterpart of [`crate::otf::expand_frame`]'s legacy body:
-/// identical event stream and stats, lane-oriented inner loops.
+/// Processes one frame: prune, expand emitting arcs against the frame's
+/// cost row (`costs[pdf - 1]`), then run the non-emitting closure. The
+/// population entering the frame is `session.cur`; the surviving
+/// population is swapped back into `session.cur` on return.
+/// [`crate::StreamSession::push_frame`] lends a (possibly different)
+/// worker's `work` buffers on every call, which is safe because nothing
+/// in [`WorkScratch`] carries search state across a frame boundary.
+///
+/// Emits the identical event stream and stats as the scalar reference
+/// loop, with lane-oriented inner loops.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_frame_soa<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: &DecodeConfig,
@@ -409,9 +418,10 @@ fn relax_soa(
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{DecodeConfig, DecodeKernel};
-    use crate::otf::OtfDecoder;
+    use crate::config::DecodeConfig;
+    use crate::otf::{reference_decode, OtfDecoder};
     use crate::record::TraceRecorder;
+    use crate::scratch::DecodeScratch;
     use crate::trace::NullSink;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -434,26 +444,25 @@ mod tests {
         })
     }
 
-    /// Decodes with both kernels and asserts full bit identity:
-    /// transcript, cost bits, every stats counter, and the ordered
-    /// trace-event stream (the strongest observable equivalence the
-    /// decoder exposes — it implies identical OLT install/evict order).
+    /// Decodes through production and the scalar reference and asserts
+    /// full bit identity: transcript, cost bits, every stats counter,
+    /// and the ordered trace-event stream (the strongest observable
+    /// equivalence the decoder exposes — it implies identical OLT
+    /// install/evict order).
     fn assert_kernels_identical(config: &DecodeConfig, scores: &unfold_am::AcousticScores) {
         let (_, am, lm) = models();
-        let legacy_cfg = config
-            .to_builder()
-            .kernel(DecodeKernel::Legacy)
-            .build()
-            .unwrap();
-        let soa_cfg = config
-            .to_builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
         let mut rec_legacy = TraceRecorder::default();
         let mut rec_soa = TraceRecorder::default();
-        let a = OtfDecoder::new(legacy_cfg).decode(am, lm, scores, &mut rec_legacy);
-        let b = OtfDecoder::new(soa_cfg).decode(am, lm, scores, &mut rec_soa);
+        let (a, _) = reference_decode(
+            config,
+            am,
+            lm,
+            scores,
+            &mut DecodeScratch::new(),
+            false,
+            &mut rec_legacy,
+        );
+        let b = OtfDecoder::new(*config).decode(am, lm, scores, &mut rec_soa);
         assert_eq!(a.words, b.words, "transcripts diverged");
         assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "cost bits diverged");
         assert_eq!(a.stats, b.stats, "stats diverged");
@@ -519,10 +528,7 @@ mod tests {
             &NoiseModel::clean(),
             3,
         );
-        let cfg = DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
+        let cfg = DecodeConfig::default();
         let mut sink = MetricsSink::new();
         let _ = OtfDecoder::new(cfg).decode(am, lm, &utt.scores, &mut sink);
         for phase in KernelPhase::ALL {
@@ -534,11 +540,7 @@ mod tests {
         }
         // A sink that doesn't ask (NullSink) costs no phase clock reads
         // and, crucially, changes nothing about the decode itself.
-        let cfg2 = DecodeConfig::builder()
-            .kernel(DecodeKernel::Soa)
-            .build()
-            .unwrap();
-        let timed = OtfDecoder::new(cfg2).decode(am, lm, &utt.scores, &mut NullSink);
+        let timed = OtfDecoder::new(cfg).decode(am, lm, &utt.scores, &mut NullSink);
         assert!(timed.is_complete());
     }
 
@@ -547,8 +549,8 @@ mod tests {
 
         /// The `soa_identity` contract: across a randomized grid of
         /// utterances × beam × olt_entries × max_active × preemptive
-        /// pruning, both kernels are bit-identical in transcript, cost,
-        /// stats, and ordered trace events.
+        /// pruning, production and reference are bit-identical in
+        /// transcript, cost, stats, and ordered trace events.
         #[test]
         fn soa_identity_under_config_grid(
             words in proptest::collection::vec(1u32..=60, 1..6),

@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use unfold_lm::WordId;
 use unfold_wfst::{LogWeight, Semiring, TropicalWeight};
 
+use crate::config::DecodeResult;
 use crate::search::TokenStore;
 use crate::sources::AmSource;
 
@@ -987,6 +988,46 @@ impl WordLattice {
                 .zip(&other.finals)
                 .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
     }
+}
+
+/// The N-best list of a lattice-recording decode: up to `k` distinct
+/// word sequences, best first. Entry 0 is the exact Viterbi result
+/// (`result`, as [`crate::StreamSession::finalize_lattice`] returned
+/// it); the rest are `lattice` paths, skipping the duplicate of the
+/// 1-best sequence. Empty when the decode reached no final state.
+///
+/// This is the hypothesis list a two-pass rescorer consumes (the
+/// paper's §6 contrasts one-pass search against lattice + rescore).
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn nbest_list(
+    result: &DecodeResult,
+    lattice: &WordLattice,
+    k: usize,
+) -> Vec<(Vec<WordId>, f32)> {
+    assert!(k > 0, "nbest_list: k must be positive");
+    if !result.is_complete() {
+        return Vec::new();
+    }
+    let mut out: Vec<(Vec<WordId>, f32)> = Vec::with_capacity(k);
+    out.push((result.words.clone(), result.cost));
+    if k > 1 {
+        for (words, cost) in lattice.nbest(k) {
+            if words == result.words {
+                continue;
+            }
+            // Lattice arc weights are derived from the exact search
+            // scores, but clamp anyway so the list stays sorted even
+            // under f32 re-association.
+            let floor = out.last().map_or(result.cost, |e| e.1);
+            out.push((words, cost.max(floor)));
+            if out.len() == k {
+                break;
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

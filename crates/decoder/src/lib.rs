@@ -12,6 +12,13 @@
 //!   (binary search + back-off walk), optionally cut short by the
 //!   paper's preemptive pruning (§3.3).
 //!
+//! The on-the-fly search has one driver, [`StreamSession`] (seed, push
+//! frames, finalize), and one production frame loop, the SoA kernel.
+//! [`OtfDecoder::decode`] is a session fed a whole utterance; a word
+//! lattice is a session with [`StreamSession::enable_lattice`] armed,
+//! built by [`StreamSession::finalize_lattice`], and [`nbest_list`]
+//! reads the N-best list off it.
+//!
 //! Both decoders are generic over *sources* ([`sources`]) so the same
 //! search runs against uncompressed [`unfold_wfst::Wfst`]s or the
 //! bit-packed compressed models, and both emit a memory-access trace
@@ -55,16 +62,16 @@ pub mod twopass;
 pub mod wer;
 
 pub use config::{
-    ConfigError, DecodeConfig, DecodeConfigBuilder, DecodeKernel, DecodeResult, DecodeStats,
-    MAX_SCORER_BATCH, MAX_SEARCH_LAG,
+    ConfigError, DecodeConfig, DecodeConfigBuilder, DecodeResult, DecodeStats, MAX_SCORER_BATCH,
+    MAX_SEARCH_LAG,
 };
 pub use full::FullyComposedDecoder;
-pub use ingest::{
-    AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError, SessionIngest,
-};
-pub use lattice::{Lattice, LatticeArc, LatticeNode, WordHyp, WordLattice};
+pub use ingest::{AcousticScorer, FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
+pub use lattice::{nbest_list, Lattice, LatticeArc, LatticeNode, WordHyp, WordLattice};
 pub use metrics::{MetricsSink, TeeSink};
 pub use olt::SoftOlt;
+#[doc(hidden)]
+pub use otf::reference_decode;
 pub use otf::OtfDecoder;
 pub use pipeline::decode_pipelined;
 pub use record::{TraceEvent, TraceRecorder};
@@ -72,7 +79,7 @@ pub use scratch::{validate_models, DecodeScratch, SessionScratch, WorkScratch};
 pub use sources::{
     addr, AmSource, ArcVisit, Fetch, LinearLm, LmResolution, LmSource, MAX_BACKOFF_HOPS,
 };
-pub use streaming::{OtfStream, StreamSession};
+pub use streaming::StreamSession;
 pub use trace::{CountingSink, DecodeStage, KernelPhase, NullSink, TraceSink};
 pub use twopass::{LatticeRescorer, NGramRescorer, TwoPassDecoder, TwoPassResult, UnigramLm};
 pub use wer::{align, oracle_wer, wer, AlignOp, WerReport};

@@ -184,7 +184,7 @@ impl MetricsSink {
     }
 
     /// Accumulated SoA kernel-phase timing (all lanes zero when the
-    /// decode ran the legacy kernel, which emits no phase samples).
+    /// decode ran the scalar reference loop, which emits no phase samples).
     pub fn kernel_phases(&self) -> &PhaseAccum {
         &self.kernel_phases
     }

@@ -20,12 +20,13 @@
 use unfold_am::AcousticScores;
 use unfold_wfst::{Label, Semiring, StateId, TropicalWeight, EPSILON};
 
-use crate::config::{DecodeConfig, DecodeKernel, DecodeResult, DecodeStats};
+use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
 use crate::lattice::{Lattice, WordLattice, COMPACT_ENTRY_BYTES, LATTICE_ROOT};
 use crate::olt::SoftOlt;
 use crate::scratch::{DecodeScratch, SessionScratch, WorkScratch};
 use crate::search::{prune_threshold_store, Token, TokenStore};
 use crate::sources::{addr, AmSource, Fetch, LmSource, MAX_BACKOFF_HOPS};
+use crate::streaming::StreamSession;
 use crate::trace::{DecodeStage, TraceSink};
 
 /// Token key: AM state in the high half, LM state in the low half —
@@ -59,119 +60,6 @@ impl OtfDecoder {
         &self.config
     }
 
-    /// Decodes and returns up to `k` distinct word sequences among the
-    /// surviving complete hypotheses, best first. The 1-best entry
-    /// equals [`OtfDecoder::decode`]'s result. Distinctness is by word
-    /// sequence: hypotheses that differ only in their (AM, LM) state
-    /// pair are merged, keeping the cheaper cost.
-    ///
-    /// This is the hypothesis list a two-pass rescorer consumes (the
-    /// paper's §6 contrasts one-pass search — what UNFOLD implements —
-    /// against lattice + rescore pipelines).
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn decode_nbest<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-        &self,
-        am: &A,
-        lm: &L,
-        scores: &AcousticScores,
-        k: usize,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<(Vec<Label>, f32)> {
-        self.decode_nbest_with(am, lm, scores, k, &mut DecodeScratch::new(), sink)
-    }
-
-    /// [`OtfDecoder::decode_nbest`] with caller-owned working memory.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn decode_nbest_with<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-        &self,
-        am: &A,
-        lm: &L,
-        scores: &AcousticScores,
-        k: usize,
-        scratch: &mut DecodeScratch,
-        sink: &mut dyn TraceSink,
-    ) -> Vec<(Vec<Label>, f32)> {
-        assert!(k > 0, "decode_nbest: k must be positive");
-        let (res, lattice) = self.decode_lattice_with(am, lm, scores, scratch, sink);
-        if !res.is_complete() {
-            return Vec::new();
-        }
-        // Entry 0 is the exact Viterbi result (bit-identical to
-        // `decode`); the remaining entries come out of the pruned word
-        // lattice, skipping the duplicate of the 1-best sequence.
-        let mut out: Vec<(Vec<Label>, f32)> = Vec::with_capacity(k);
-        out.push((res.words.clone(), res.cost));
-        if k > 1 {
-            for (words, cost) in lattice.nbest(k) {
-                if words == res.words {
-                    continue;
-                }
-                // Lattice arc weights are derived from the exact search
-                // scores, but clamp anyway so the list stays sorted even
-                // under f32 re-association.
-                let floor = out.last().map(|e| e.1).unwrap_or(res.cost);
-                out.push((words, cost.max(floor)));
-                if out.len() == k {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes one utterance and returns both the 1-best result and the
-    /// pruned exact word lattice (all hypotheses within
-    /// [`DecodeConfig::lattice_beam`] of the best complete path).
-    ///
-    /// The [`DecodeResult`] is bit-identical to [`OtfDecoder::decode`]:
-    /// lattice recording is contents-neutral for the search.
-    pub fn decode_lattice<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-        &self,
-        am: &A,
-        lm: &L,
-        scores: &AcousticScores,
-        sink: &mut dyn TraceSink,
-    ) -> (DecodeResult, WordLattice) {
-        self.decode_lattice_with(am, lm, scores, &mut DecodeScratch::new(), sink)
-    }
-
-    /// [`OtfDecoder::decode_lattice`] with caller-owned working memory.
-    pub fn decode_lattice_with<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-        &self,
-        am: &A,
-        lm: &L,
-        scores: &AcousticScores,
-        scratch: &mut DecodeScratch,
-        sink: &mut dyn TraceSink,
-    ) -> (DecodeResult, WordLattice) {
-        let mut stats = DecodeStats::default();
-        self.run(am, lm, scores, scratch, sink, &mut stats, true);
-        let res = finish(
-            am,
-            &scratch.session.cur,
-            &scratch.session.lattice,
-            stats,
-            sink,
-        );
-        sink.stage_enter(DecodeStage::Lattice);
-        let lattice = if res.is_complete() {
-            WordLattice::build(
-                am,
-                &scratch.session.lattice,
-                &scratch.session.cur,
-                self.config.lattice_beam,
-            )
-        } else {
-            WordLattice::empty()
-        };
-        sink.stage_exit(DecodeStage::Lattice);
-        (res, lattice)
-    }
-
     /// Decodes one utterance by composing `am` and `lm` on demand.
     ///
     /// Works with any [`AmSource`]/[`LmSource`] pair: uncompressed
@@ -194,6 +82,10 @@ impl OtfDecoder {
     /// one [`DecodeScratch`] across utterances eliminates steady-state
     /// allocation, and the result is bit-identical to a fresh-scratch
     /// decode.
+    ///
+    /// This is a [`StreamSession`] fed every frame of `scores`: seed,
+    /// push, finalize. The session runs on the scratch's buffers, so a
+    /// whole-utterance decode and a streamed one are the same search.
     pub fn decode_with<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         &self,
         am: &A,
@@ -202,72 +94,27 @@ impl OtfDecoder {
         scratch: &mut DecodeScratch,
         sink: &mut dyn TraceSink,
     ) -> DecodeResult {
-        let mut stats = DecodeStats::default();
-        self.run(am, lm, scores, scratch, sink, &mut stats, false);
-        finish(
-            am,
-            &scratch.session.cur,
-            &scratch.session.lattice,
-            stats,
-            sink,
-        )
-    }
-
-    /// Shared search loop: seeds the start token, runs the initial
-    /// closure, expands every frame. The surviving population is left
-    /// in `scratch.cur`. When `record` is set, the expansion tape is
-    /// captured for [`WordLattice::build`] — contents-neutral for the
-    /// search itself.
-    #[allow(clippy::too_many_arguments)]
-    fn run<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-        &self,
-        am: &A,
-        lm: &L,
-        scores: &AcousticScores,
-        scratch: &mut DecodeScratch,
-        sink: &mut dyn TraceSink,
-        stats: &mut DecodeStats,
-        record: bool,
-    ) {
-        scratch.begin(&self.config);
-        scratch.session.lattice.set_recording(record);
-        scratch.work.ensure_validated(am, lm, scores.num_pdfs());
-        seed_closure(
-            &self.config,
-            am,
-            lm,
-            &mut scratch.session,
-            &mut scratch.work,
-            sink,
-            stats,
-        );
+        let work = &mut scratch.work;
+        work.begin(&self.config);
+        work.ensure_validated(am, lm, scores.num_pdfs());
+        let mut session =
+            StreamSession::with_state(self.config, std::mem::take(&mut scratch.session));
+        session.seed(am, lm, work, sink);
         for t in 0..scores.num_frames() {
-            expand_frame(
-                &self.config,
-                am,
-                lm,
-                &mut scratch.session,
-                &mut scratch.work,
-                scores.frame(t),
-                t,
-                sink,
-                stats,
-            );
+            session.push_frame(am, lm, work, scores.frame(t), sink);
         }
+        let res = session.finalize(am, sink);
+        scratch.session = session.into_state();
+        res
     }
 }
 
-/// Seeds the start token into `session.cur` and runs the initial
-/// non-emitting closure under the configured kernel. Shared by
-/// [`OtfDecoder`] and [`crate::streaming::StreamSession`].
-pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
-    config: &DecodeConfig,
+/// Inserts the start token into `session.cur` (and onto the lattice
+/// tape). The first step of every search, production or reference.
+fn seed_token<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     am: &A,
     lm: &L,
     session: &mut SessionScratch,
-    work: &mut WorkScratch,
-    sink: &mut dyn TraceSink,
-    stats: &mut DecodeStats,
 ) {
     session.cur.insert(
         token_key(am.start(), lm.start()),
@@ -279,87 +126,126 @@ pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     session
         .lattice
         .record_start(token_key(am.start(), lm.start()));
-    match config.kernel {
-        DecodeKernel::Legacy => epsilon_closure(
-            config,
-            am,
-            lm,
-            &mut session.cur,
-            &mut work.worklist,
-            &mut work.eps_local,
-            &mut work.probes,
-            &mut work.olt,
-            &mut session.bias_cache,
-            &mut session.lattice,
-            0,
-            f32::INFINITY,
-            sink,
-            stats,
-        ),
-        DecodeKernel::Soa => {
-            // The streaming path seeds before the first frame's
-            // `ensure_validated`, so the stage binds here too.
-            work.bind_arc_stage(am);
-            crate::kernel::epsilon_closure_soa(
-                config,
-                am,
-                lm,
-                &mut session.cur,
-                &mut work.worklist_idx,
-                &mut work.eps_local,
-                &mut work.probes,
-                &mut work.olt,
-                &mut session.bias_cache,
-                &mut work.arc_stage,
-                &mut session.lattice,
-                0,
-                f32::INFINITY,
-                sink,
-                stats,
-            )
-        }
-    }
 }
 
-/// Processes one frame under the configured kernel: prune, expand
-/// emitting arcs against the frame's cost row (`costs[pdf - 1]`), then
-/// run the non-emitting closure. The population entering the frame is
-/// `session.cur`; the surviving population is swapped back into
-/// `session.cur` on return. Shared by [`OtfDecoder::decode`] and
-/// [`crate::streaming::StreamSession`] — the latter lends a (possibly
-/// different) worker's `work` buffers on every call, which is safe
-/// because nothing in [`WorkScratch`] carries search state across a
-/// frame boundary.
-///
-/// Both kernels produce the identical ordered [`TraceSink`] event
-/// stream and [`DecodeStats`] — pinned by the `soa_identity` proptests
-/// and verify-matrix check.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_frame<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+/// Seeds the start token into `session.cur` and runs the initial
+/// non-emitting closure through the SoA kernel. Called by
+/// [`StreamSession::seed`].
+pub(crate) fn seed_closure<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: &DecodeConfig,
     am: &A,
     lm: &L,
     session: &mut SessionScratch,
     work: &mut WorkScratch,
-    costs: &[f32],
-    t: usize,
     sink: &mut dyn TraceSink,
     stats: &mut DecodeStats,
 ) {
-    match config.kernel {
-        DecodeKernel::Legacy => {
-            expand_frame_legacy(config, am, lm, session, work, costs, t, sink, stats);
-        }
-        DecodeKernel::Soa => {
-            crate::kernel::expand_frame_soa(config, am, lm, session, work, costs, t, sink, stats);
-        }
-    }
+    seed_token(am, lm, session);
+    // A session seeds before the first frame's `ensure_validated`, so
+    // the stage binds here too.
+    work.bind_arc_stage(am);
+    crate::kernel::epsilon_closure_soa(
+        config,
+        am,
+        lm,
+        &mut session.cur,
+        &mut work.worklist_idx,
+        &mut work.eps_local,
+        &mut work.probes,
+        &mut work.olt,
+        &mut session.bias_cache,
+        &mut work.arc_stage,
+        &mut session.lattice,
+        0,
+        f32::INFINITY,
+        sink,
+        stats,
+    );
 }
 
-/// The scalar reference frame loop (see [`DecodeKernel::Legacy`]):
-/// per-token beam test inside the expansion walk, `get`-then-`insert`
-/// relaxation. Kept byte-for-byte as the differential baseline the SoA
-/// kernel is pinned against.
+/// Builds the word lattice of a finished search (empty when nothing
+/// reached a final state), timed as the [`DecodeStage::Lattice`] stage.
+pub(crate) fn build_lattice<A: AmSource + ?Sized>(
+    am: &A,
+    session: &SessionScratch,
+    res: &DecodeResult,
+    lattice_beam: f32,
+    sink: &mut dyn TraceSink,
+) -> WordLattice {
+    sink.stage_enter(DecodeStage::Lattice);
+    let lattice = if res.is_complete() {
+        WordLattice::build(am, &session.lattice, &session.cur, lattice_beam)
+    } else {
+        WordLattice::empty()
+    };
+    sink.stage_exit(DecodeStage::Lattice);
+    lattice
+}
+
+/// The scalar reference search, kept as the differential baseline the
+/// production SoA kernel is pinned against: words, cost bits, stats,
+/// the ordered [`TraceSink`] event stream and, with `record_lattice`,
+/// the word lattice must all match [`StreamSession`]'s. It decodes
+/// every frame of `scores` on `scratch`, so warm-scratch A/Bs work
+/// too, and returns the lattice only when `record_lattice` is set.
+///
+/// Not a production path: nothing but tests, the verify matrix and
+/// the decode bench's kernel A/B call it.
+#[doc(hidden)]
+pub fn reference_decode<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+    config: &DecodeConfig,
+    am: &A,
+    lm: &L,
+    scores: &AcousticScores,
+    scratch: &mut DecodeScratch,
+    record_lattice: bool,
+    sink: &mut dyn TraceSink,
+) -> (DecodeResult, Option<WordLattice>) {
+    let mut stats = DecodeStats::default();
+    scratch.begin(config);
+    scratch.session.lattice.set_recording(record_lattice);
+    scratch.work.ensure_validated(am, lm, scores.num_pdfs());
+    let (session, work) = (&mut scratch.session, &mut scratch.work);
+    seed_token(am, lm, session);
+    epsilon_closure(
+        config,
+        am,
+        lm,
+        &mut session.cur,
+        &mut work.worklist,
+        &mut work.eps_local,
+        &mut work.probes,
+        &mut work.olt,
+        &mut session.bias_cache,
+        &mut session.lattice,
+        0,
+        f32::INFINITY,
+        sink,
+        &mut stats,
+    );
+    for t in 0..scores.num_frames() {
+        expand_frame_legacy(
+            config,
+            am,
+            lm,
+            session,
+            work,
+            scores.frame(t),
+            t,
+            sink,
+            &mut stats,
+        );
+    }
+    let res = finish(am, &session.cur, &session.lattice, stats, sink);
+    let lattice =
+        record_lattice.then(|| build_lattice(am, session, &res, config.lattice_beam, sink));
+    (res, lattice)
+}
+
+/// The scalar reference frame loop (reachable only through
+/// [`reference_decode`]): per-token beam test inside the expansion
+/// walk, `get`-then-`insert` relaxation. Kept byte-for-byte as the
+/// differential baseline the SoA kernel is pinned against.
 #[allow(clippy::too_many_arguments)]
 fn expand_frame_legacy<A: AmSource + ?Sized, L: LmSource + ?Sized>(
     config: &DecodeConfig,
@@ -1026,6 +912,8 @@ mod tests {
 #[cfg(test)]
 mod nbest_tests {
     use super::*;
+    use crate::lattice::nbest_list;
+    use crate::streaming::test_support::stream_utterance;
     use crate::trace::NullSink;
     use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
@@ -1042,6 +930,18 @@ mod nbest_tests {
         (lex, am.fst, lm_to_wfst(&model))
     }
 
+    /// The N-best list of one lattice-recording session.
+    fn session_nbest(
+        am: &unfold_wfst::Wfst,
+        lm: &unfold_wfst::Wfst,
+        scores: &AcousticScores,
+        k: usize,
+    ) -> Vec<(Vec<Label>, f32)> {
+        let (res, lattice) =
+            stream_utterance(DecodeConfig::default(), am, lm, scores, true, &mut NullSink);
+        nbest_list(&res, &lattice.expect("lattice recorded"), k)
+    }
+
     #[test]
     fn one_best_matches_decode() {
         let (lex, am, lm) = setup();
@@ -1054,7 +954,7 @@ mod nbest_tests {
         );
         let dec = OtfDecoder::new(DecodeConfig::default());
         let best = dec.decode(&am, &lm, &utt.scores, &mut NullSink);
-        let nbest = dec.decode_nbest(&am, &lm, &utt.scores, 5, &mut NullSink);
+        let nbest = session_nbest(&am, &lm, &utt.scores, 5);
         assert!(!nbest.is_empty());
         assert_eq!(nbest[0].0, best.words);
         assert!((nbest[0].1 - best.cost).abs() < 1e-5);
@@ -1068,8 +968,7 @@ mod nbest_tests {
             ..NoiseModel::default()
         };
         let utt = synthesize_utterance(&[5, 9, 12], &lex, HmmTopology::Kaldi3State, &noise, 6);
-        let dec = OtfDecoder::new(DecodeConfig::default());
-        let nbest = dec.decode_nbest(&am, &lm, &utt.scores, 8, &mut NullSink);
+        let nbest = session_nbest(&am, &lm, &utt.scores, 8);
         for w in nbest.windows(2) {
             assert!(w[0].1 <= w[1].1, "costs must be sorted");
             assert_ne!(w[0].0, w[1].0, "sequences must be distinct");
@@ -1087,13 +986,7 @@ mod nbest_tests {
             &NoiseModel::clean(),
             1,
         );
-        let _ = OtfDecoder::new(DecodeConfig::default()).decode_nbest(
-            &am,
-            &lm,
-            &utt.scores,
-            0,
-            &mut NullSink,
-        );
+        let _ = session_nbest(&am, &lm, &utt.scores, 0);
     }
 }
 

@@ -33,8 +33,7 @@ use std::collections::VecDeque;
 
 /// Decodes `frames` through the two-stage pipeline and returns a
 /// result bit-identical to scoring every frame up front and running
-/// [`crate::OtfDecoder::decode`] (or an [`crate::OtfStream`]) over the
-/// rows. Trace events emitted to `sink` are identical too.
+/// [`crate::OtfDecoder::decode`] over the rows. Trace events emitted to `sink` are identical too.
 ///
 /// A `max_search_lag` of 0 degenerates to strictly synchronous
 /// hand-off: each frame is scored and immediately searched.
@@ -159,7 +158,9 @@ mod tests {
         let (_lex, am, lm) = setup();
         let cfg = DecodeConfig::default();
         let scorer = PrecomputedScorer::new(4);
-        let base = crate::OtfStream::new(cfg, &am, &lm, &mut NullSink).finish();
+        let (session, _) =
+            crate::streaming::test_support::start(cfg, &am, &lm, false, &mut NullSink);
+        let base = session.finalize(&am, &mut NullSink);
         let r = decode_pipelined(cfg, &am, &lm, &scorer, &[], &mut NullSink).unwrap();
         assert_eq!(r.words, base.words);
         assert_eq!(r.cost.to_bits(), base.cost.to_bits());

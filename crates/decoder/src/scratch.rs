@@ -95,7 +95,7 @@ impl SessionScratch {
 /// against the same LM never changes any session's output).
 #[derive(Debug, Default)]
 pub struct WorkScratch {
-    /// Epsilon-closure worklist (legacy kernel: token keys).
+    /// Epsilon-closure worklist (scalar reference loop: token keys).
     pub(crate) worklist: Vec<u64>,
     /// Epsilon-closure worklist (SoA kernel: dense entry indices, so a
     /// pop is a direct lane load instead of a hash walk).

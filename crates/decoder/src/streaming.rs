@@ -3,29 +3,25 @@
 //! The paper's overall system (§5.2) splits speech into N-frame batches:
 //! the GPU scores batch *i+1* while the accelerator decodes batch *i*
 //! through a shared buffer. That pipeline requires a decoder that
-//! accepts score rows incrementally instead of a complete utterance —
-//! this module provides it, in two layers:
+//! accepts score rows incrementally instead of a complete utterance.
+//! [`StreamSession`] is that decoder, and the only one: it owns only
+//! the per-utterance search state ([`SessionScratch`] + stats) and
+//! takes the models **and a [`WorkScratch`]** as arguments on every
+//! call. This is the unit a multi-session scheduler juggles: many
+//! paused sessions, a handful of worker-owned `WorkScratch`es, shared
+//! models. A session may be advanced by *different* workers across its
+//! lifetime — `WorkScratch` carries no search state across a frame
+//! boundary, so decode output is independent of which worker ran which
+//! quantum.
 //!
-//! * [`StreamSession`] — the detached core: it owns only the
-//!   per-utterance search state ([`SessionScratch`] + stats) and takes
-//!   the models **and a [`WorkScratch`]** as arguments on every call.
-//!   This is the unit a multi-session scheduler juggles: many paused
-//!   sessions, a handful of worker-owned `WorkScratch`es, shared
-//!   models. A session may be advanced by *different* workers across
-//!   its lifetime — `WorkScratch` carries no search state across a
-//!   frame boundary, so decode output is independent of which worker
-//!   ran which quantum.
-//! * [`OtfStream`] — the borrow-and-go convenience wrapper for the
-//!   single-session case: it pins the models and owns a private
-//!   `WorkScratch`, so steady-state frame pushes allocate nothing.
-//!
-//! Pushing every frame of an utterance and finalizing produces
-//! *bit-identical* results to [`crate::OtfDecoder::decode`] (tested
-//! below), so the batched system loses no accuracy, exactly as the
-//! paper asserts.
+//! [`crate::OtfDecoder::decode`] is a session fed a whole utterance,
+//! and a word lattice is a session with [`StreamSession::enable_lattice`]
+//! armed: online, offline and lattice decoding are one search, so the
+//! batched system loses no accuracy, exactly as the paper asserts.
 
 use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
-use crate::ingest::{AcousticScorer, FrameInput, ScoreError, SessionIngest};
+use crate::ingest::{AcousticScorer, FrameInput, ScoreError};
+use crate::kernel;
 use crate::lattice::WordLattice;
 use crate::otf;
 use crate::scratch::{SessionScratch, WorkScratch};
@@ -61,6 +57,21 @@ impl StreamSession {
             seeded: false,
             record_lattice: false,
         }
+    }
+
+    /// A fresh, unseeded session running on `state`'s buffers (cleared
+    /// at seed time, capacity kept): how a whole-utterance decode
+    /// reuses one [`crate::DecodeScratch`] across utterances.
+    pub(crate) fn with_state(config: DecodeConfig, state: SessionScratch) -> Self {
+        StreamSession {
+            state,
+            ..StreamSession::new(config)
+        }
+    }
+
+    /// Hands the session's buffers back for reuse.
+    pub(crate) fn into_state(self) -> SessionScratch {
+        self.state
     }
 
     /// Arms expansion-tape recording so [`StreamSession::finalize_lattice`]
@@ -145,7 +156,7 @@ impl StreamSession {
         sink: &mut dyn TraceSink,
     ) {
         assert!(self.seeded, "StreamSession::push_frame: seed() first");
-        otf::expand_frame(
+        kernel::expand_frame_soa(
             &self.config,
             am,
             lm,
@@ -249,7 +260,8 @@ impl StreamSession {
     /// Finishes the decode and also builds the exact word lattice from
     /// the recorded expansion tape (pruned to
     /// [`DecodeConfig::lattice_beam`]). The [`DecodeResult`] is
-    /// bit-identical to [`StreamSession::finalize`].
+    /// bit-identical to [`StreamSession::finalize`]; the build is timed
+    /// as a second [`crate::DecodeStage::Lattice`] span.
     ///
     /// # Panics
     /// Panics unless [`StreamSession::enable_lattice`] armed recording
@@ -264,169 +276,65 @@ impl StreamSession {
             "StreamSession::finalize_lattice: enable_lattice() before seed()"
         );
         let res = otf::finish(am, &self.state.cur, &self.state.lattice, self.stats, sink);
-        let lattice = if res.is_complete() {
-            WordLattice::build(
-                am,
-                &self.state.lattice,
-                &self.state.cur,
-                self.config.lattice_beam,
-            )
-        } else {
-            WordLattice::empty()
-        };
+        let lattice = otf::build_lattice(am, &self.state, &res, self.config.lattice_beam, sink);
         (res, lattice)
     }
 }
 
-/// An in-progress on-the-fly decode pinned to one model pair. Create
-/// with [`OtfStream::new`], feed frames with [`OtfStream::push_frame`],
-/// finish with [`OtfStream::finish`]. The stream owns its
-/// [`WorkScratch`], so steady-state frame pushes allocate nothing.
-///
-/// This is a thin wrapper over [`StreamSession`]; use the session
-/// directly when many concurrent decodes share models and workers.
-pub struct OtfStream<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> {
-    am: &'a A,
-    lm: &'a L,
-    session: StreamSession,
-    work: WorkScratch,
-    scorer: Option<&'a dyn AcousticScorer>,
-}
+/// Whole-utterance session drivers shared by the crate's tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+    use unfold_am::AcousticScores;
 
-impl<'a, A: AmSource + ?Sized, L: LmSource + ?Sized> OtfStream<'a, A, L> {
-    /// Starts a decode: seeds the start token and runs the initial
-    /// non-emitting closure. The stream has no acoustic frontend, so
-    /// [`SessionIngest::ingest`] accepts only precomputed score rows;
-    /// use [`OtfStream::with_scorer`] to accept feature frames too.
-    pub fn new(config: DecodeConfig, am: &'a A, lm: &'a L, sink: &mut dyn TraceSink) -> Self {
+    /// A seeded session with its own freshly begun worker scratch — the
+    /// single-stream caller's setup.
+    pub(crate) fn start<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+        config: DecodeConfig,
+        am: &A,
+        lm: &L,
+        lattice: bool,
+        sink: &mut dyn TraceSink,
+    ) -> (StreamSession, WorkScratch) {
         let mut work = WorkScratch::new();
         work.begin(&config);
         let mut session = StreamSession::new(config);
+        if lattice {
+            session.enable_lattice();
+        }
         session.seed(am, lm, &mut work, sink);
-        OtfStream {
-            am,
-            lm,
-            session,
-            work,
-            scorer: None,
-        }
+        (session, work)
     }
 
-    /// Starts a decode whose ingest surface scores frames through
-    /// `scorer`, so [`FrameInput::Features`] frames work too.
-    pub fn with_scorer(
+    /// Streams every frame of `scores` through a fresh session; returns
+    /// the result and, when `lattice` is set, the word lattice.
+    pub(crate) fn stream_utterance<A: AmSource + ?Sized, L: LmSource + ?Sized>(
         config: DecodeConfig,
-        am: &'a A,
-        lm: &'a L,
-        scorer: &'a dyn AcousticScorer,
+        am: &A,
+        lm: &L,
+        scores: &AcousticScores,
+        lattice: bool,
         sink: &mut dyn TraceSink,
-    ) -> Self {
-        let mut stream = OtfStream::new(config, am, lm, sink);
-        stream.scorer = Some(scorer);
-        stream
-    }
-
-    /// The underlying [`StreamSession`] — the single home of the
-    /// partial-result, stable-prefix, and stats logic the deprecated
-    /// forwarding accessors used to duplicate.
-    pub fn session(&self) -> &StreamSession {
-        &self.session
-    }
-
-    /// Frames consumed so far.
-    pub fn frames_pushed(&self) -> usize {
-        self.session.frames_pushed()
-    }
-
-    /// Live hypotheses right now.
-    pub fn num_active(&self) -> usize {
-        self.session.num_active()
-    }
-
-    /// Consumes one frame of acoustic costs (`costs[pdf - 1]`).
-    ///
-    /// # Panics
-    /// Panics if an AM arc's PDF id exceeds `costs.len()`.
-    pub fn push_frame(&mut self, costs: &[f32], sink: &mut dyn TraceSink) {
-        self.session
-            .push_frame(self.am, self.lm, &mut self.work, costs, sink);
-    }
-
-    /// Consumes one [`FrameInput`], emitting trace events to `sink`.
-    /// Equivalent to the [`SessionIngest`] impl but with an explicit
-    /// sink. Feature frames require [`OtfStream::with_scorer`];
-    /// precomputed rows always work and take the exact
-    /// [`OtfStream::push_frame`] path.
-    ///
-    /// # Errors
-    /// [`ScoreError`] when the frame was refused; the decode state is
-    /// unchanged.
-    pub fn ingest_with(
-        &mut self,
-        frame: &FrameInput,
-        sink: &mut dyn TraceSink,
-    ) -> Result<(), ScoreError> {
-        match self.scorer {
-            Some(scorer) => {
-                self.session
-                    .ingest_frame(self.am, self.lm, scorer, &mut self.work, frame, sink)
-            }
-            None => match frame {
-                FrameInput::Scores(row) => {
-                    self.push_frame(row, sink);
-                    Ok(())
-                }
-                FrameInput::Features(_) => Err(ScoreError::FeaturesUnsupported),
-            },
+    ) -> (DecodeResult, Option<WordLattice>) {
+        let (mut session, mut work) = start(config, am, lm, lattice, sink);
+        for t in 0..scores.num_frames() {
+            session.push_frame(am, lm, &mut work, scores.frame(t), sink);
         }
-    }
-
-    /// The best word sequence decodable *right now*; forwarded
-    /// verbatim from the session.
-    #[deprecated(note = "use `session().partial_result()`")]
-    pub fn partial_result(&self) -> Vec<unfold_lm::WordId> {
-        self.session.partial_result()
-    }
-
-    /// The longest word prefix shared by all live hypotheses; forwarded
-    /// verbatim from the session.
-    #[deprecated(note = "use `session().partial_stable_prefix()`")]
-    pub fn partial_stable_prefix(&self) -> Vec<unfold_lm::WordId> {
-        self.session.partial_stable_prefix()
-    }
-
-    /// Search statistics accumulated so far; forwarded verbatim from
-    /// the session.
-    #[deprecated(note = "use `session().stats()`")]
-    pub fn stats(&self) -> &DecodeStats {
-        self.session.stats()
-    }
-
-    /// Finishes the decode and returns the result.
-    pub fn finish(self) -> DecodeResult {
-        self.finish_with(&mut crate::trace::NullSink)
-    }
-
-    /// Finishes the decode, emitting the final lattice-backtrace span
-    /// to `sink` (use the same sink the frames were pushed through to
-    /// get a complete stage profile).
-    pub fn finish_with(self, sink: &mut dyn TraceSink) -> DecodeResult {
-        self.session.finalize(self.am, sink)
-    }
-}
-
-impl<A: AmSource + ?Sized, L: LmSource + ?Sized> SessionIngest for OtfStream<'_, A, L> {
-    type Error = ScoreError;
-
-    fn ingest(&mut self, frame: FrameInput) -> Result<(), Self::Error> {
-        self.ingest_with(&frame, &mut crate::trace::NullSink)
+        if lattice {
+            let (res, lat) = session.finalize_lattice(am, sink);
+            (res, Some(lat))
+        } else {
+            (session.finalize(am, sink), None)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::test_support::start;
     use super::*;
-    use crate::trace::{CountingSink, NullSink};
+    use crate::record::{TraceEvent, TraceRecorder};
+    use crate::trace::{CountingSink, DecodeStage, NullSink};
     use crate::OtfDecoder;
     use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel};
     use unfold_lm::{lm_to_wfst, CorpusSpec, DiscountConfig, NGramModel};
@@ -457,11 +365,11 @@ mod tests {
         let cfg = DecodeConfig::default();
         let batch = OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut NullSink);
 
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
+        let (mut stream, mut work) = start(cfg, &am, &lm, false, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
+            stream.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
         }
-        let streamed = stream.finish();
+        let streamed = stream.finalize(&am, &mut NullSink);
         assert_eq!(batch.words, streamed.words);
         assert_eq!(batch.cost, streamed.cost);
         assert_eq!(batch.stats, streamed.stats);
@@ -559,14 +467,66 @@ mod tests {
         OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut batch_sink);
 
         let mut stream_sink = CountingSink::default();
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut stream_sink);
+        let (mut stream, mut work) = start(cfg, &am, &lm, false, &mut stream_sink);
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut stream_sink);
+            stream.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut stream_sink);
         }
-        let _ = stream.finish();
+        let _ = stream.finalize(&am, &mut stream_sink);
         assert_eq!(batch_sink.am_arc_fetches, stream_sink.am_arc_fetches);
         assert_eq!(batch_sink.lm_arc_fetches, stream_sink.lm_arc_fetches);
         assert_eq!(batch_sink.token_bytes, stream_sink.token_bytes);
+    }
+
+    #[test]
+    fn finalize_lattice_times_the_build_as_a_lattice_stage() {
+        // The stage events a lattice decode emits after its last frame:
+        // the backtrace span, then the lattice-build span, so
+        // `--metrics` stage profiles account for the build.
+        let (lex, am, lm) = setup();
+        let utt = synthesize_utterance(
+            &[3, 9],
+            &lex,
+            HmmTopology::Kaldi3State,
+            &NoiseModel::default(),
+            7,
+        );
+        let cfg = DecodeConfig::default();
+        let (mut session, mut work) = start(cfg, &am, &lm, true, &mut NullSink);
+        for t in 0..utt.scores.num_frames() {
+            session.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+        }
+        let mut rec = TraceRecorder::new();
+        let (res, lattice) = session.finalize_lattice(&am, &mut rec);
+        assert!(res.is_complete() && !lattice.is_empty());
+        let stages: Vec<&TraceEvent> = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::StageEnter(_) | TraceEvent::StageExit(_)))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                &TraceEvent::StageEnter(DecodeStage::Lattice),
+                &TraceEvent::StageExit(DecodeStage::Lattice),
+                &TraceEvent::StageEnter(DecodeStage::Lattice),
+                &TraceEvent::StageExit(DecodeStage::Lattice),
+            ]
+        );
+        // The reference search emits the identical stream, so lattice
+        // A/Bs compare traces too.
+        let mut reference = TraceRecorder::new();
+        let mut prod = TraceRecorder::new();
+        crate::otf::reference_decode(
+            &cfg,
+            &am,
+            &lm,
+            &utt.scores,
+            &mut crate::DecodeScratch::new(),
+            true,
+            &mut reference,
+        );
+        super::test_support::stream_utterance(cfg, &am, &lm, &utt.scores, true, &mut prod);
+        assert_eq!(prod.events(), reference.events());
     }
 
     #[test]
@@ -580,18 +540,18 @@ mod tests {
             &NoiseModel::clean(),
             2,
         );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let (mut stream, mut work) = start(DecodeConfig::default(), &am, &lm, false, &mut NullSink);
         let mut last_len = 0usize;
         let mut shrank = false;
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-            let p = stream.session().partial_result();
+            stream.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+            let p = stream.partial_result();
             if p.len() < last_len {
                 shrank = true;
             }
             last_len = p.len();
         }
-        let final_words = stream.finish().words;
+        let final_words = stream.finalize(&am, &mut NullSink).words;
         assert_eq!(final_words, truth);
         // Partial results may fluctuate on ambiguous frames, but a clean
         // utterance should mostly grow; at minimum the final answer is
@@ -610,12 +570,12 @@ mod tests {
             &NoiseModel::default(),
             12,
         );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let (mut stream, mut work) = start(DecodeConfig::default(), &am, &lm, false, &mut NullSink);
         let mut emitted: Vec<u32> = Vec::new();
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-            let stable = stream.session().partial_stable_prefix();
-            let partial = stream.session().partial_result();
+            stream.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
+            let stable = stream.partial_stable_prefix();
+            let partial = stream.partial_result();
             assert!(
                 stable.len() <= partial.len() && partial[..stable.len()] == stable[..],
                 "stable prefix {stable:?} must prefix the 1-best partial {partial:?}"
@@ -636,7 +596,7 @@ mod tests {
                 emitted = stable;
             }
         }
-        let final_words = stream.finish().words;
+        let final_words = stream.finalize(&am, &mut NullSink).words;
         assert!(
             emitted.len() <= final_words.len() && final_words[..emitted.len()] == emitted[..],
             "stable prefix {emitted:?} must prefix the final transcript {final_words:?}"
@@ -659,14 +619,11 @@ mod tests {
             .max_active(1)
             .build()
             .unwrap();
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
+        let (mut stream, mut work) = start(cfg, &am, &lm, false, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
+            stream.push_frame(&am, &lm, &mut work, utt.scores.frame(t), &mut NullSink);
             if stream.num_active() == 1 {
-                assert_eq!(
-                    stream.session().partial_stable_prefix(),
-                    stream.session().partial_result()
-                );
+                assert_eq!(stream.partial_stable_prefix(), stream.partial_result());
             }
         }
     }
@@ -681,10 +638,10 @@ mod tests {
             &NoiseModel::clean(),
             1,
         );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let (mut stream, mut work) = start(DecodeConfig::default(), &am, &lm, false, &mut NullSink);
         assert!(stream.num_active() >= 1);
         assert_eq!(stream.frames_pushed(), 0);
-        stream.push_frame(utt.scores.frame(0), &mut NullSink);
+        stream.push_frame(&am, &lm, &mut work, utt.scores.frame(0), &mut NullSink);
         assert_eq!(stream.frames_pushed(), 1);
         assert!(stream.num_active() >= 1);
     }
@@ -702,27 +659,10 @@ mod tests {
         let cfg = DecodeConfig::default();
         let batch = OtfDecoder::new(cfg).decode(&am, &lm, &utt.scores, &mut NullSink);
 
-        // Through the SessionIngest trait on OtfStream (no scorer).
-        let mut stream = OtfStream::new(cfg, &am, &lm, &mut NullSink);
-        for t in 0..utt.scores.num_frames() {
-            crate::ingest::SessionIngest::ingest(
-                &mut stream,
-                FrameInput::Scores(utt.scores.frame(t).to_vec()),
-            )
-            .unwrap();
-        }
-        let streamed = stream.finish();
-        assert_eq!(batch.words, streamed.words);
-        assert_eq!(batch.cost.to_bits(), streamed.cost.to_bits());
-        assert_eq!(batch.stats, streamed.stats);
-
         // Through StreamSession::ingest_frame with a passthrough scorer.
         let width = utt.scores.frame(0).len();
         let scorer = crate::ingest::PrecomputedScorer::new(width);
-        let mut work = WorkScratch::new();
-        work.begin(&cfg);
-        let mut session = StreamSession::new(cfg);
-        session.seed(&am, &lm, &mut work, &mut NullSink);
+        let (mut session, mut work) = start(cfg, &am, &lm, false, &mut NullSink);
         for t in 0..utt.scores.num_frames() {
             session
                 .ingest_frame(
@@ -767,19 +707,26 @@ mod tests {
             .collect();
         let cfg = DecodeConfig::default();
 
-        let mut by_rows = OtfStream::new(cfg, &am, &lm, &mut NullSink);
+        let (mut by_rows, mut work) = start(cfg, &am, &lm, false, &mut NullSink);
         for f in &feats {
-            by_rows.push_frame(&gmm.frame_costs(f), &mut NullSink);
+            by_rows.push_frame(&am, &lm, &mut work, &gmm.frame_costs(f), &mut NullSink);
         }
-        let rows_result = by_rows.finish();
+        let rows_result = by_rows.finalize(&am, &mut NullSink);
 
-        let mut by_feats = OtfStream::with_scorer(cfg, &am, &lm, &scorer, &mut NullSink);
+        let (mut by_feats, mut work) = start(cfg, &am, &lm, false, &mut NullSink);
         for f in &feats {
             by_feats
-                .ingest_with(&FrameInput::Features(f.clone()), &mut NullSink)
+                .ingest_frame(
+                    &am,
+                    &lm,
+                    &scorer,
+                    &mut work,
+                    &FrameInput::Features(f.clone()),
+                    &mut NullSink,
+                )
                 .unwrap();
         }
-        let feats_result = by_feats.finish();
+        let feats_result = by_feats.finalize(&am, &mut NullSink);
         assert_eq!(rows_result.words, feats_result.words);
         assert_eq!(rows_result.cost.to_bits(), feats_result.cost.to_bits());
         assert_eq!(rows_result.stats, feats_result.stats);
@@ -787,37 +734,24 @@ mod tests {
 
     #[test]
     fn ingest_refuses_features_without_a_scorer_and_leaves_state_unchanged() {
+        // A passthrough scorer has no acoustic frontend: feature frames
+        // are refused and the session does not advance.
         let (_lex, am, lm) = setup();
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
+        let scorer = crate::ingest::PrecomputedScorer::new(4);
+        let (mut stream, mut work) = start(DecodeConfig::default(), &am, &lm, false, &mut NullSink);
         let before = stream.frames_pushed();
         assert_eq!(
-            stream.ingest_with(&FrameInput::Features(vec![0.0; 4]), &mut NullSink),
+            stream.ingest_frame(
+                &am,
+                &lm,
+                &scorer,
+                &mut work,
+                &FrameInput::Features(vec![0.0; 4]),
+                &mut NullSink
+            ),
             Err(ScoreError::FeaturesUnsupported)
         );
         assert_eq!(stream.frames_pushed(), before);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_accessors_still_forward_to_the_session() {
-        let (lex, am, lm) = setup();
-        let utt = synthesize_utterance(
-            &[7, 11],
-            &lex,
-            HmmTopology::Kaldi3State,
-            &NoiseModel::default(),
-            3,
-        );
-        let mut stream = OtfStream::new(DecodeConfig::default(), &am, &lm, &mut NullSink);
-        for t in 0..utt.scores.num_frames() {
-            stream.push_frame(utt.scores.frame(t), &mut NullSink);
-        }
-        assert_eq!(stream.partial_result(), stream.session().partial_result());
-        assert_eq!(
-            stream.partial_stable_prefix(),
-            stream.session().partial_stable_prefix()
-        );
-        assert_eq!(stream.stats(), stream.session().stats());
     }
 
     #[test]

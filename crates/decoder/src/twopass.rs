@@ -15,8 +15,10 @@ use unfold_lm::{NGramModel, WordId};
 use unfold_wfst::{Arc, Label, StateId};
 
 use crate::config::{DecodeConfig, DecodeResult, DecodeStats};
-use crate::otf::OtfDecoder;
+use crate::lattice::nbest_list;
+use crate::scratch::WorkScratch;
 use crate::sources::{addr, AmSource, Fetch, LmSource};
+use crate::streaming::StreamSession;
 use crate::trace::TraceSink;
 
 /// A unigram LM whose states mirror the last recognized word: costs are
@@ -88,7 +90,7 @@ impl LmSource for UnigramLm {
 /// plus combined AM ⊗ weak-LM cost) to a rescored total cost, returning
 /// the cost together with how many full-LM evaluations it spent. This
 /// is the lattice-rescoring hook: candidates are read off the exact
-/// first-pass word lattice ([`OtfDecoder::decode_nbest`]), so any model
+/// first-pass word lattice ([`crate::nbest_list`]), so any model
 /// too expensive to interleave with the search — a long-context LM, a
 /// neural rescorer — plugs in here.
 pub trait LatticeRescorer {
@@ -191,8 +193,16 @@ impl TwoPassDecoder {
         L: LmSource + ?Sized,
         R: LatticeRescorer + ?Sized,
     {
-        let pass1 = OtfDecoder::new(self.config);
-        let candidates = pass1.decode_nbest(am, weak_lm, scores, self.nbest, sink);
+        let mut work = WorkScratch::new();
+        work.begin(&self.config);
+        let mut pass1 = StreamSession::new(self.config);
+        pass1.enable_lattice();
+        pass1.seed(am, weak_lm, &mut work, sink);
+        for t in 0..scores.num_frames() {
+            pass1.push_frame(am, weak_lm, &mut work, scores.frame(t), sink);
+        }
+        let (res, lattice) = pass1.finalize_lattice(am, sink);
+        let candidates = nbest_list(&res, &lattice, self.nbest);
         let num_candidates = candidates.len();
 
         sink.stage_enter(crate::trace::DecodeStage::LmLookup);
@@ -223,6 +233,7 @@ impl TwoPassDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::otf::OtfDecoder;
     use crate::trace::NullSink;
     use crate::wer;
     use unfold_am::{build_am, synthesize_utterance, HmmTopology, Lexicon, NoiseModel};
@@ -362,7 +373,15 @@ mod tests {
             .lattice_beam(30.0)
             .build()
             .unwrap();
-        let nbest = OtfDecoder::new(cfg).decode_nbest(&am, &weak, &utt.scores, 8, &mut NullSink);
+        let (res, lattice) = crate::streaming::test_support::stream_utterance(
+            cfg,
+            &am,
+            &weak,
+            &utt.scores,
+            true,
+            &mut NullSink,
+        );
+        let nbest = nbest_list(&res, &lattice.unwrap(), 8);
         assert!(
             nbest.len() >= 2,
             "workload too easy: the lattice holds a single hypothesis"

@@ -53,14 +53,14 @@ pub use loadgen::{
     SaturationPoint,
 };
 pub use sched::{Lease, ScoreLease, ServeCore, ServeStats, DEFAULT_LM};
-pub use server::{BoundSession, ServeHandle, Server};
+pub use server::{ServeHandle, Server};
 pub use session::{SessionId, SessionPhase, SessionView};
 pub use tcp::TcpFront;
 pub use wire::{ClientMsg, ServerMsg};
 
 // The decoder's unified frame-ingest vocabulary, re-exported so serve
 // callers need not depend on `unfold-decoder` directly.
-pub use unfold_decoder::{AcousticScorer, FrameInput, ScoreError, SessionIngest};
+pub use unfold_decoder::{AcousticScorer, FrameInput, ScoreError};
 
 use unfold_decoder::DecodeConfig;
 

@@ -2452,7 +2452,7 @@ mod tests {
     }
 
     use unfold_am::GmmModel;
-    use unfold_decoder::{DecodeKernel, FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
+    use unfold_decoder::{FrameInput, GmmScorer, PrecomputedScorer, ScoreError};
 
     fn ingest_all(core: &mut ServeCore<Wfst, Wfst>, id: SessionId, u: &Utterance, now: u64) {
         for t in 0..u.scores.num_frames() {
@@ -2461,13 +2461,12 @@ mod tests {
         }
     }
 
-    /// The tentpole acceptance grid: pipelined decode through the
-    /// two-stage core is bit-identical to a standalone lockstep decode
-    /// — words, cost bits, and full search statistics — across both
-    /// frame kernels, search lags {0, 2, 8}, and {1, 8} concurrent
-    /// sessions.
+    /// The acceptance grid: pipelined decode through the two-stage core
+    /// is bit-identical to a standalone lockstep decode — words, cost
+    /// bits, and full search statistics — across search lags {0, 2, 8}
+    /// and {1, 8} concurrent sessions.
     #[test]
-    fn pipelined_core_matches_lockstep_across_kernels_lags_and_sessions() {
+    fn pipelined_core_matches_lockstep_across_lags_and_sessions() {
         let (lex, am, lm) = setup();
         let word_seqs: [&[u32]; 8] = [
             &[3, 9, 17],
@@ -2485,51 +2484,48 @@ mod tests {
             .map(|(i, w)| utt(&lex, w, 5 + i as u64))
             .collect();
         let width = utts[0].scores.frame(0).len();
-        for kernel in [DecodeKernel::Legacy, DecodeKernel::Soa] {
-            for lag in [0usize, 2, 8] {
-                for sessions in [1usize, 8] {
-                    let base = DecodeConfig::builder()
-                        .kernel(kernel)
-                        .max_search_lag(lag)
-                        .scorer_batch(5) // deliberately coprime with the quantum
-                        .build()
-                        .expect("valid config");
-                    let tag = format!("kernel {kernel:?} lag {lag} sessions {sessions}");
-                    let standalone: Vec<_> = utts[..sessions]
-                        .iter()
-                        .map(|u| OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink))
-                        .collect();
-                    let config = ServeConfig {
-                        quantum_frames: 8,
-                        scoring_workers: 1,
-                        olt_entries: 0,
-                        base,
-                        ..Default::default()
-                    };
-                    let mut core = core_with(&am, &lm, config);
-                    core.set_scorer(Arc::new(PrecomputedScorer::new(width)));
-                    let ids: Vec<SessionId> = (0..sessions)
-                        .map(|_| core.open(0).expect("admit"))
-                        .collect();
-                    for (id, u) in ids.iter().zip(&utts) {
-                        ingest_all(&mut core, *id, u, 0);
-                        core.finish(*id, 0).expect("finish");
-                    }
-                    let mut work = WorkScratch::new();
-                    work.configure_olt(0);
-                    while core.step_pipelined(&mut work, 0).is_some() {}
-                    for ((id, u), alone) in ids.iter().zip(&utts).zip(&standalone) {
-                        let served = core.take_result(*id).expect("known").expect("closed");
-                        assert_eq!(served.words, alone.words, "{tag} utt {:?}", u.words);
-                        assert_eq!(served.cost.to_bits(), alone.cost.to_bits(), "{tag}");
-                        assert_eq!(served.stats, alone.stats, "{tag}");
-                    }
-                    let st = core.stats();
-                    assert_eq!(st.frames_scored, st.frames_accepted, "{tag}");
-                    assert!(st.score_batches > 0, "{tag}");
-                    assert_eq!(st.frames_accepted, st.frames_decoded, "{tag}");
-                    assert_eq!(core.backlog_frames(), 0, "{tag}");
+        for lag in [0usize, 2, 8] {
+            for sessions in [1usize, 8] {
+                let base = DecodeConfig::builder()
+                    .max_search_lag(lag)
+                    .scorer_batch(5) // deliberately coprime with the quantum
+                    .build()
+                    .expect("valid config");
+                let tag = format!("lag {lag} sessions {sessions}");
+                let standalone: Vec<_> = utts[..sessions]
+                    .iter()
+                    .map(|u| OtfDecoder::new(base).decode(&*am, &*lm, &u.scores, &mut NullSink))
+                    .collect();
+                let config = ServeConfig {
+                    quantum_frames: 8,
+                    scoring_workers: 1,
+                    olt_entries: 0,
+                    base,
+                    ..Default::default()
+                };
+                let mut core = core_with(&am, &lm, config);
+                core.set_scorer(Arc::new(PrecomputedScorer::new(width)));
+                let ids: Vec<SessionId> = (0..sessions)
+                    .map(|_| core.open(0).expect("admit"))
+                    .collect();
+                for (id, u) in ids.iter().zip(&utts) {
+                    ingest_all(&mut core, *id, u, 0);
+                    core.finish(*id, 0).expect("finish");
                 }
+                let mut work = WorkScratch::new();
+                work.configure_olt(0);
+                while core.step_pipelined(&mut work, 0).is_some() {}
+                for ((id, u), alone) in ids.iter().zip(&utts).zip(&standalone) {
+                    let served = core.take_result(*id).expect("known").expect("closed");
+                    assert_eq!(served.words, alone.words, "{tag} utt {:?}", u.words);
+                    assert_eq!(served.cost.to_bits(), alone.cost.to_bits(), "{tag}");
+                    assert_eq!(served.stats, alone.stats, "{tag}");
+                }
+                let st = core.stats();
+                assert_eq!(st.frames_scored, st.frames_accepted, "{tag}");
+                assert!(st.score_batches > 0, "{tag}");
+                assert_eq!(st.frames_accepted, st.frames_decoded, "{tag}");
+                assert_eq!(core.backlog_frames(), 0, "{tag}");
             }
         }
     }

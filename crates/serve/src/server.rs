@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use unfold_decoder::{
     AcousticScorer, AmSource, CountingSink, DecodeResult, FrameInput, LmSource, ScoreError,
-    SessionIngest, WorkScratch,
+    WorkScratch,
 };
 use unfold_lm::WordId;
 
@@ -424,16 +424,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
         r
     }
 
-    /// Binds `id` into a [`SessionIngest`]-shaped handle, so producers
-    /// generic over "somewhere to push frames" can target a served
-    /// session exactly like a standalone [`unfold_decoder::OtfStream`].
-    pub fn bind(&self, id: SessionId) -> BoundSession<A, L> {
-        BoundSession {
-            handle: self.clone(),
-            id,
-        }
-    }
-
     /// Installs (or hot-swaps) the server's acoustic scorer. Affects
     /// frames ingested after the call; scoring batches already leased
     /// finish under the scorer they captured.
@@ -590,39 +580,6 @@ impl<A: AmSource + ?Sized, L: LmSource + ?Sized> ServeHandle<A, L> {
     /// Whether shutdown has been requested.
     pub fn shutdown_requested(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// One served session viewed through the decoder's [`SessionIngest`]
-/// trait: a [`ServeHandle`] pinned to a [`SessionId`]. Producers
-/// written against the trait (the wire front end, load generators,
-/// tests) push [`FrameInput`]s here without knowing a server sits
-/// underneath.
-pub struct BoundSession<A: AmSource + ?Sized, L: LmSource + ?Sized> {
-    handle: ServeHandle<A, L>,
-    id: SessionId,
-}
-
-impl<A: AmSource + ?Sized, L: LmSource + ?Sized> BoundSession<A, L> {
-    /// The bound session.
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-
-    /// Marks the bound session finished (see [`ServeHandle::finish`]).
-    ///
-    /// # Errors
-    /// See [`ServeCore::finish`].
-    pub fn finish(&self) -> Result<(), ServeError> {
-        self.handle.finish(self.id)
-    }
-}
-
-impl<A: AmSource + ?Sized, L: LmSource + ?Sized> SessionIngest for BoundSession<A, L> {
-    type Error = ServeError;
-
-    fn ingest(&mut self, frame: FrameInput) -> Result<(), ServeError> {
-        self.handle.ingest_frame(self.id, frame)
     }
 }
 
@@ -902,11 +859,12 @@ mod tests {
                     .collect();
                 std::thread::spawn(move || {
                     let id = handle.open().expect("admit");
-                    let mut bound = handle.bind(id);
                     for row in rows {
-                        bound.ingest(FrameInput::Scores(row)).expect("ingest");
+                        handle
+                            .ingest_frame(id, FrameInput::Scores(row))
+                            .expect("ingest");
                     }
-                    bound.finish().expect("finish");
+                    handle.finish(id).expect("finish");
                     handle
                         .wait_result(id, Duration::from_secs(60))
                         .expect("known")
@@ -985,13 +943,12 @@ mod tests {
             );
             let handle = server.handle();
             let id = handle.open().expect("admit");
-            let mut bound = handle.bind(id);
             for f in &frames {
-                bound
-                    .ingest(FrameInput::Features(f.clone()))
+                handle
+                    .ingest_frame(id, FrameInput::Features(f.clone()))
                     .expect("ingest");
             }
-            bound.finish().expect("finish");
+            handle.finish(id).expect("finish");
             let res = handle
                 .wait_result(id, Duration::from_secs(60))
                 .expect("known")

@@ -29,9 +29,10 @@ use unfold_am::Utterance;
 use unfold_bias::{BiasedLm, BiasingFst, OfflineBiasedLm};
 use unfold_compress::{Bundle, BundleError, BundleWriter, SharedAm, SharedLm};
 use unfold_decoder::{
-    decode_pipelined, oracle_wer, AcousticScorer, DecodeConfig, DecodeKernel, DecodeResult,
-    DecodeScratch, FrameInput, FullyComposedDecoder, LmSource, NullSink, OtfDecoder, OtfStream,
-    PrecomputedScorer, ScoreError, StreamSession, TraceRecorder, TwoPassDecoder, WorkScratch,
+    decode_pipelined, oracle_wer, reference_decode, AcousticScorer, DecodeConfig, DecodeResult,
+    DecodeScratch, FrameInput, FullyComposedDecoder, LmSource, NullSink, OtfDecoder,
+    PrecomputedScorer, ScoreError, StreamSession, TraceRecorder, TraceSink, TwoPassDecoder,
+    WordLattice, WorkScratch,
 };
 use unfold_sim::{Accelerator, AcceleratorConfig};
 use unfold_wfst::{compose_am_lm, Arc, ComposeOptions, Label, StateId, Wfst, EPSILON};
@@ -48,8 +49,9 @@ pub const COST_TOLERANCE: f32 = 1e-2;
 pub enum CheckId {
     /// On-the-fly vs offline-composed oracle.
     Oracle,
-    /// SoA vs legacy frame kernel: result *and* ordered trace-event
-    /// bit identity (implies identical OLT install/evict order).
+    /// Production SoA kernel vs the scalar reference search: result
+    /// *and* ordered trace-event bit identity (implies identical OLT
+    /// install/evict order).
     SoaIdentity,
     /// OLT sizes {0, small, large} bit identity.
     OltIdentity,
@@ -72,7 +74,7 @@ pub enum CheckId {
     /// costs against exhaustive enumeration over the offline-composed
     /// WFST, 1-best-in-lattice, lattice-beam respect, oracle-WER
     /// monotonicity in the lattice beam, and lattice bit identity
-    /// across kernels, OLT sizes, warm scratch, and streaming.
+    /// across kernels, OLT sizes, and warm scratch.
     LatticeOracle,
     /// Personalized biasing: the on-the-fly `base LM x biasing FST`
     /// union composition against the eagerly composed biased
@@ -509,24 +511,22 @@ pub fn run_case_filtered(
         }
     }
 
-    // 2. SoA vs legacy kernel: the strongest claim in the matrix —
-    //    words, cost bits, full stats, and the *ordered* trace-event
-    //    stream must all match, whichever kernel the baseline ran.
+    // 2. SoA kernel vs scalar reference: the strongest claim in the
+    //    matrix — words, cost bits, full stats, and the *ordered*
+    //    trace-event stream must all match the production baseline.
     if want(CheckId::SoaIdentity) {
-        let other = match cfg.kernel {
-            DecodeKernel::Legacy => DecodeKernel::Soa,
-            DecodeKernel::Soa => DecodeKernel::Legacy,
-        };
         let lm = MutatedLm::new(&m.lm_fst, mutation);
         let mut rec = TraceRecorder::new();
-        let alt = OtfDecoder::new(
-            cfg.to_builder()
-                .kernel(other)
-                .build()
-                .expect("case spec yields a valid config"),
-        )
-        .decode(&m.am.fst, &lm, scores, &mut rec);
-        if let Some(d) = bit_diff("soa vs legacy kernel", &alt, &baseline) {
+        let (alt, _) = reference_decode(
+            &cfg,
+            &m.am.fst,
+            &lm,
+            scores,
+            &mut DecodeScratch::new(),
+            false,
+            &mut rec,
+        );
+        if let Some(d) = bit_diff("soa vs reference kernel", &alt, &baseline) {
             return Some(Divergence {
                 check: CheckId::SoaIdentity,
                 detail: d,
@@ -536,10 +536,9 @@ pub fn run_case_filtered(
             return Some(Divergence {
                 check: CheckId::SoaIdentity,
                 detail: format!(
-                    "kernel trace diverged: {} events ({other:?}) vs {} ({:?})",
+                    "kernel trace diverged: {} reference events vs {} production",
                     rec.len(),
-                    base_rec.len(),
-                    cfg.kernel
+                    base_rec.len()
                 ),
             });
         }
@@ -598,11 +597,15 @@ pub fn run_case_filtered(
     if want(CheckId::Streaming) {
         let lm = MutatedLm::new(&m.lm_fst, mutation);
         let mut rec = TraceRecorder::new();
-        let mut stream = OtfStream::new(cfg, &m.am.fst, &lm, &mut rec);
-        for t in 0..scores.num_frames() {
-            stream.push_frame(scores.frame(t), &mut rec);
-        }
-        let streamed = stream.finish_with(&mut rec);
+        let (streamed, _) = stream_decode(
+            cfg,
+            &m.am.fst,
+            &lm,
+            scores,
+            &mut WorkScratch::new(),
+            false,
+            &mut rec,
+        );
         if let Some(d) = bit_diff("streaming", &streamed, &baseline) {
             return Some(Divergence {
                 check: CheckId::Streaming,
@@ -849,7 +852,7 @@ pub fn run_case_filtered(
     //    beam, complete) against exhaustive enumeration over the
     //    offline-composed graph, its oracle WER is monotone in the
     //    lattice beam, and the lattice itself is bit-identical across
-    //    kernels, OLT sizes, warm scratch, and streaming.
+    //    kernels, OLT sizes, and warm scratch.
     if want(CheckId::LatticeOracle) {
         if let Some(d) = lattice_oracle_check(
             spec,
@@ -959,6 +962,35 @@ const LATTICE_PATH_BUDGET: usize = 200_000;
 /// Pop budget for the exhaustive composed-graph enumeration.
 const GRAPH_PATH_BUDGET: usize = 400_000;
 
+/// Streams every frame of `scores` through one session on `work`
+/// (begun here) — the production decode path — recording the word
+/// lattice when `lattice` is set.
+fn stream_decode<L: LmSource + ?Sized>(
+    cfg: DecodeConfig,
+    am: &Wfst,
+    lm: &L,
+    scores: &unfold_am::AcousticScores,
+    work: &mut WorkScratch,
+    lattice: bool,
+    sink: &mut dyn TraceSink,
+) -> (DecodeResult, Option<WordLattice>) {
+    work.begin(&cfg);
+    let mut session = StreamSession::new(cfg);
+    if lattice {
+        session.enable_lattice();
+    }
+    session.seed(am, lm, work, sink);
+    for t in 0..scores.num_frames() {
+        session.push_frame(am, lm, work, scores.frame(t), sink);
+    }
+    if lattice {
+        let (res, lat) = session.finalize_lattice(am, sink);
+        (res, Some(lat))
+    } else {
+        (session.finalize(am, sink), None)
+    }
+}
+
 fn lattice_oracle_check(
     spec: &CaseSpec,
     mutation: Mutation,
@@ -989,14 +1021,15 @@ fn lattice_oracle_check(
         .lattice_beam(built(claimed))
         .build()
         .expect("case spec yields a valid config");
-    let lat_dec = OtfDecoder::new(lat_cfg);
-    let (lat_res, lattice) = {
+    let lattice_decode = |cfg: DecodeConfig, work: &mut WorkScratch| {
         let lm = MutatedLm::new(&m.lm_fst, mutation);
-        lat_dec.decode_lattice(&m.am.fst, &lm, scores, &mut NullSink)
+        let (res, lat) = stream_decode(cfg, &m.am.fst, &lm, scores, work, true, &mut NullSink);
+        (res, lat.expect("lattice recorded"))
     };
+    let (lat_res, lattice) = lattice_decode(lat_cfg, &mut WorkScratch::new());
 
     // Recording the expansion tape must not perturb the search.
-    if let Some(d) = bit_diff("decode_lattice vs decode", &lat_res, baseline) {
+    if let Some(d) = bit_diff("lattice decode vs decode", &lat_res, baseline) {
         return div(d);
     }
     if lat_res.is_complete() == lattice.is_empty() {
@@ -1048,39 +1081,36 @@ fn lattice_oracle_check(
     }
 
     // (c) determinism: the lattice is bit-identical whichever kernel,
-    //     OLT size, scratch history, or frame-delivery mode produced
-    //     it.
+    //     OLT size, or scratch history produced it. The production
+    //     lattice above is itself a frame-by-frame session, so frame
+    //     delivery is covered by the baseline comparison.
     {
-        let other = match cfg.kernel {
-            DecodeKernel::Legacy => DecodeKernel::Soa,
-            DecodeKernel::Soa => DecodeKernel::Legacy,
-        };
         let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let (ares, alat) = OtfDecoder::new(
-            lat_cfg
-                .to_builder()
-                .kernel(other)
-                .build()
-                .expect("case spec yields a valid config"),
-        )
-        .decode_lattice(&m.am.fst, &lm, scores, &mut NullSink);
+        let (ares, alat) = reference_decode(
+            &lat_cfg,
+            &m.am.fst,
+            &lm,
+            scores,
+            &mut DecodeScratch::new(),
+            true,
+            &mut NullSink,
+        );
         if let Some(d) = bit_diff("lattice kernel swap", &ares, &lat_res) {
             return div(d);
         }
-        if !alat.bit_identical(&lattice) {
-            return div(format!("kernel swap ({other:?}) changed the lattice"));
+        if !alat.expect("lattice recorded").bit_identical(&lattice) {
+            return div("the reference kernel built a different lattice".into());
         }
     }
     for entries in [spec.olt_small, spec.olt_large] {
-        let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let (ores, olat) = OtfDecoder::new(
+        let (ores, olat) = lattice_decode(
             lat_cfg
                 .to_builder()
                 .olt_entries(entries)
                 .build()
                 .expect("case spec yields a valid config"),
-        )
-        .decode_lattice(&m.am.fst, &lm, scores, &mut NullSink);
+            &mut WorkScratch::new(),
+        );
         if let Some(d) = search_diff(&format!("lattice olt_entries={entries}"), &ores, &lat_res) {
             return div(d);
         }
@@ -1089,36 +1119,14 @@ fn lattice_oracle_check(
         }
     }
     {
-        let mut scratch = DecodeScratch::new();
-        let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let _first =
-            lat_dec.decode_lattice_with(&m.am.fst, &lm, scores, &mut scratch, &mut NullSink);
-        let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let (wres, wlat) =
-            lat_dec.decode_lattice_with(&m.am.fst, &lm, scores, &mut scratch, &mut NullSink);
+        let mut work = WorkScratch::new();
+        let _first = lattice_decode(lat_cfg, &mut work);
+        let (wres, wlat) = lattice_decode(lat_cfg, &mut work);
         if let Some(d) = bit_diff("lattice warm scratch", &wres, &lat_res) {
             return div(d);
         }
         if !wlat.bit_identical(&lattice) {
             return div("warm scratch changed the lattice".into());
-        }
-    }
-    {
-        let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let mut work = WorkScratch::new();
-        work.begin(&lat_cfg);
-        let mut sess = StreamSession::new(lat_cfg);
-        sess.enable_lattice();
-        sess.seed(&m.am.fst, &lm, &mut work, &mut NullSink);
-        for t in 0..scores.num_frames() {
-            sess.push_frame(&m.am.fst, &lm, &mut work, scores.frame(t), &mut NullSink);
-        }
-        let (sres, slat) = sess.finalize_lattice(&m.am.fst, &mut NullSink);
-        if let Some(d) = bit_diff("lattice streaming", &sres, &lat_res) {
-            return div(d);
-        }
-        if !slat.bit_identical(&lattice) {
-            return div("streaming frame delivery changed the lattice".into());
         }
     }
 
@@ -1182,14 +1190,13 @@ fn lattice_oracle_check(
     //     build's path set is a subset of the wider one's, so its
     //     oracle WER can only be equal or worse.
     {
-        let lm = MutatedLm::new(&m.lm_fst, mutation);
-        let (nres, nlat) = OtfDecoder::new(
+        let (nres, nlat) = lattice_decode(
             cfg.to_builder()
                 .lattice_beam(built(claimed * 0.5))
                 .build()
                 .expect("case spec yields a valid config"),
-        )
-        .decode_lattice(&m.am.fst, &lm, scores, &mut NullSink);
+            &mut WorkScratch::new(),
+        );
         // The lattice beam is a post-pass knob: the search is untouched.
         if let Some(d) = bit_diff("lattice narrow-beam decode", &nres, &lat_res) {
             return div(d);

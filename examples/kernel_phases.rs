@@ -1,13 +1,14 @@
-//! Per-phase timing of the SoA frame kernel, plus an interleaved
-//! SoA-vs-legacy A/B over the same batch — the runnable companion to
-//! DESIGN.md §13.
+//! Per-phase timing of the SoA frame kernel, plus an interleaved A/B
+//! against the scalar reference search over the same batch — the
+//! runnable companion to DESIGN.md §13.
 //!
 //! The kernel reports `threshold` / `batch_probe` / `expand` /
 //! `closure` durations through `TraceSink::kernel_phase`, but only to
 //! sinks that ask (`wants_kernel_timing`). This example decodes a task
 //! preset under a `MetricsSink`, prints where the frame budget goes,
-//! then times both kernels interleaved (rep-by-rep, so machine-speed
-//! drift cancels) with a `NullSink` to show the timing-free hot path.
+//! then times the production kernel and the reference search
+//! interleaved (rep-by-rep, so machine-speed drift cancels) with a
+//! `NullSink` to show the timing-free hot path.
 //!
 //! ```bash
 //! cargo run --release -p unfold-examples --bin kernel_phases
@@ -18,7 +19,7 @@ use std::time::Instant;
 
 use unfold::{System, TaskSpec};
 use unfold_decoder::{
-    DecodeConfig, DecodeKernel, DecodeScratch, MetricsSink, NullSink, OtfDecoder,
+    reference_decode, DecodeConfig, DecodeScratch, MetricsSink, NullSink, OtfDecoder,
 };
 
 fn main() {
@@ -35,15 +36,11 @@ fn main() {
     let utts = system.test_utterances(8);
     let frames: usize = utts.iter().map(|u| u.scores.num_frames()).sum();
 
-    let config = |kernel: DecodeKernel| {
-        DecodeConfig::builder()
-            .olt_entries(32 * 1024)
-            .kernel(kernel)
-            .build()
-            .expect("valid config")
-    };
-    let soa = OtfDecoder::new(config(DecodeKernel::Soa));
-    let legacy = OtfDecoder::new(config(DecodeKernel::Legacy));
+    let config = DecodeConfig::builder()
+        .olt_entries(32 * 1024)
+        .build()
+        .expect("valid config");
+    let soa = OtfDecoder::new(config);
     let mut scratch = DecodeScratch::new();
 
     // Phase breakdown: a MetricsSink answers `wants_kernel_timing`, so
@@ -83,7 +80,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(20);
     let mut soa_s = Vec::with_capacity(reps);
-    let mut legacy_s = Vec::with_capacity(reps);
+    let mut reference_s = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Instant::now();
         for u in &utts {
@@ -98,21 +95,23 @@ fn main() {
         soa_s.push(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for u in &utts {
-            legacy.decode_with(
+            reference_decode(
+                &config,
                 &system.am_comp,
                 &system.lm_comp,
                 &u.scores,
                 &mut scratch,
+                false,
                 &mut NullSink,
             );
         }
-        legacy_s.push(t0.elapsed().as_secs_f64());
+        reference_s.push(t0.elapsed().as_secs_f64());
     }
     let med = |mut v: Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         v[v.len() / 2]
     };
-    let (soa_m, legacy_m) = (med(soa_s), med(legacy_s));
+    let (soa_m, reference_m) = (med(soa_s), med(reference_s));
     println!("\ninterleaved A/B over {reps} reps (NullSink):");
     println!(
         "  soa    {:>9.3} ms  ({:>9.0} frames/s)",
@@ -120,9 +119,9 @@ fn main() {
         frames as f64 / soa_m
     );
     println!(
-        "  legacy {:>9.3} ms  ({:>9.0} frames/s)",
-        legacy_m * 1e3,
-        frames as f64 / legacy_m
+        "  ref    {:>9.3} ms  ({:>9.0} frames/s)",
+        reference_m * 1e3,
+        frames as f64 / reference_m
     );
-    println!("  kernel speedup: {:.3}x", legacy_m / soa_m);
+    println!("  kernel speedup: {:.3}x", reference_m / soa_m);
 }

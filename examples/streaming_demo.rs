@@ -1,12 +1,13 @@
 //! Live decoding with the streaming API: frames arrive one at a time
-//! (as from a microphone), partial hypotheses are available after every
-//! push, and the final result is identical to batch decoding — the
-//! property the paper's GPU/accelerator batch pipeline (§5.2) rests on.
+//! (as from a microphone) into a `StreamSession`, partial hypotheses are
+//! available after every push, and the final result is identical to
+//! batch decoding — the property the paper's GPU/accelerator batch
+//! pipeline (§5.2) rests on.
 //!
 //! Run with: `cargo run --release -p unfold-examples --bin streaming_demo`
 
 use unfold::{System, TaskSpec};
-use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, OtfStream};
+use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder, StreamSession, WorkScratch};
 
 fn main() {
     let system = System::build(&TaskSpec::tiny());
@@ -17,22 +18,27 @@ fn main() {
         utt.words
     );
 
-    let mut stream = OtfStream::new(
-        DecodeConfig::default(),
-        &system.am_comp,
-        &system.lm_comp,
-        &mut NullSink,
-    );
+    // The session holds only its own search state; the models and the
+    // worker scratch are lent to it on every call.
+    let (am, lm) = (&system.am_comp, &system.lm_comp);
+    let config = DecodeConfig::default();
+    let mut work = WorkScratch::new();
+    work.begin(&config);
+    let mut session = StreamSession::new(config);
+    session.seed(am, lm, &mut work, &mut NullSink);
     let mut last_partial = Vec::new();
     for t in 0..utt.scores.num_frames() {
-        stream.push_frame(utt.scores.frame(t), &mut NullSink);
-        let partial = stream.session().partial_result();
+        session.push_frame(am, lm, &mut work, utt.scores.frame(t), &mut NullSink);
+        let partial = session.partial_result();
         if partial != last_partial {
-            println!("frame {t:>3} ({} active): {partial:?}", stream.num_active());
+            println!(
+                "frame {t:>3} ({} active): {partial:?}",
+                session.num_active()
+            );
             last_partial = partial;
         }
     }
-    let streamed = stream.finish();
+    let streamed = session.finalize(am, &mut NullSink);
 
     // Cross-check against the one-shot decoder.
     let batch = OtfDecoder::new(DecodeConfig::default()).decode(

@@ -6,8 +6,30 @@
 
 use proptest::prelude::*;
 use unfold::{System, TaskSpec};
-use unfold_decoder::{DecodeConfig, NullSink, OtfDecoder};
+use unfold_am::AcousticScores;
+use unfold_decoder::{
+    nbest_list, AmSource, DecodeConfig, DecodeResult, LmSource, NullSink, OtfDecoder,
+    StreamSession, WordLattice, WorkScratch,
+};
 use unfold_verify::{CaseModels, CaseSpec};
+
+/// One lattice-recording session over every frame of `scores`.
+fn lattice_decode<A: AmSource + ?Sized, L: LmSource + ?Sized>(
+    config: DecodeConfig,
+    am: &A,
+    lm: &L,
+    scores: &AcousticScores,
+) -> (DecodeResult, WordLattice) {
+    let mut work = WorkScratch::new();
+    work.begin(&config);
+    let mut session = StreamSession::new(config);
+    session.enable_lattice();
+    session.seed(am, lm, &mut work, &mut NullSink);
+    for t in 0..scores.num_frames() {
+        session.push_frame(am, lm, &mut work, scores.frame(t), &mut NullSink);
+    }
+    session.finalize_lattice(am, &mut NullSink)
+}
 
 /// A tiny unigram case: a handful of LM states, so `paths_within` can
 /// enumerate the lattice exhaustively as the N-best reference.
@@ -45,15 +67,13 @@ fn nbest_equals_exhaustive_enumeration_on_tiny_graphs() {
             m.lm_fst.num_states()
         );
         let lattice_beam = 20.0f32;
-        let dec = OtfDecoder::new(
-            DecodeConfig::builder()
-                .beam(spec.beam)
-                .max_active(spec.max_active)
-                .lattice_beam(lattice_beam)
-                .build()
-                .unwrap(),
-        );
-        let (res, lattice) = dec.decode_lattice(&m.am.fst, &m.lm_fst, &m.utt.scores, &mut NullSink);
+        let cfg = DecodeConfig::builder()
+            .beam(spec.beam)
+            .max_active(spec.max_active)
+            .lattice_beam(lattice_beam)
+            .build()
+            .unwrap();
+        let (res, lattice) = lattice_decode(cfg, &m.am.fst, &m.lm_fst, &m.utt.scores);
         assert!(res.is_complete());
 
         // Exhaustive reference: every distinct word sequence in the
@@ -69,7 +89,7 @@ fn nbest_equals_exhaustive_enumeration_on_tiny_graphs() {
         // as fall inside the beam: best-first order means those first
         // `reference.len()` entries must be exactly the bounded set.
         let k = reference.len();
-        let nbest = dec.decode_nbest(&m.am.fst, &m.lm_fst, &m.utt.scores, k, &mut NullSink);
+        let nbest = nbest_list(&res, &lattice, k);
         assert_eq!(
             nbest.len(),
             reference.len(),
@@ -122,13 +142,13 @@ fn nbest_of_one_equals_one_best_across_presets() {
         let dec = OtfDecoder::new(DecodeConfig::default());
         for utt in system.test_utterances(2) {
             let one = dec.decode(&system.am.fst, &system.lm_fst, &utt.scores, &mut NullSink);
-            let nbest = dec.decode_nbest(
+            let (res, lattice) = lattice_decode(
+                DecodeConfig::default(),
                 &system.am.fst,
                 &system.lm_fst,
                 &utt.scores,
-                1,
-                &mut NullSink,
             );
+            let nbest = nbest_list(&res, &lattice, 1);
             if !one.is_complete() {
                 assert!(
                     nbest.is_empty(),
@@ -168,16 +188,13 @@ proptest! {
     ) {
         let spec = CaseSpec::derive(0x1A77, case);
         let m = CaseModels::build(&spec);
-        let dec = OtfDecoder::new(
-            DecodeConfig::builder()
-                .beam(spec.beam)
-                .max_active(spec.max_active)
-                .lattice_beam(lattice_beam)
-                .build()
-                .unwrap(),
-        );
-        let (res, lattice) =
-            dec.decode_lattice(&m.am.fst, &m.lm_fst, &m.utt.scores, &mut NullSink);
+        let cfg = DecodeConfig::builder()
+            .beam(spec.beam)
+            .max_active(spec.max_active)
+            .lattice_beam(lattice_beam)
+            .build()
+            .unwrap();
+        let (res, lattice) = lattice_decode(cfg, &m.am.fst, &m.lm_fst, &m.utt.scores);
         if !res.is_complete() {
             prop_assert!(lattice.is_empty());
             return Ok(());

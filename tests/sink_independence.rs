@@ -8,7 +8,7 @@
 use unfold::{System, TaskSpec};
 use unfold_decoder::{
     CountingSink, DecodeConfig, DecodeResult, FullyComposedDecoder, MetricsSink, NullSink,
-    OtfDecoder, OtfStream, TeeSink,
+    OtfDecoder, StreamSession, TeeSink, WorkScratch,
 };
 
 fn assert_identical(a: &DecodeResult, b: &DecodeResult, what: &str) {
@@ -51,11 +51,15 @@ fn streaming_decode_is_identical_under_every_sink() {
 
     for utt in &utts {
         let run = |sink: &mut dyn unfold_decoder::TraceSink| -> DecodeResult {
-            let mut s = OtfStream::new(config, &system.am_comp, &system.lm_comp, sink);
+            let (am, lm) = (&system.am_comp, &system.lm_comp);
+            let mut work = WorkScratch::new();
+            work.begin(&config);
+            let mut s = StreamSession::new(config);
+            s.seed(am, lm, &mut work, sink);
             for t in 0..utt.scores.num_frames() {
-                s.push_frame(utt.scores.frame(t), sink);
+                s.push_frame(am, lm, &mut work, utt.scores.frame(t), sink);
             }
-            s.finish_with(sink)
+            s.finalize(am, sink)
         };
 
         let null = run(&mut NullSink);
