@@ -24,6 +24,15 @@
 //!   are skipped and listed in `skipped_oversubscribed` instead of
 //!   being reported as if they meant something.
 //!
+//! [`measure_lattice`] adds a fifth, run as its own interleaved pair:
+//!
+//! * **lattice** — the optimized configuration with the expansion tape
+//!   on: one lattice session per utterance, finalized to a word lattice
+//!   that then yields an 8-best list and the best path's per-word
+//!   confidences (the job of the repo benchmark's `offline_lattice`
+//!   workload), timed against the optimized decode in the same
+//!   repetitions, so `lattice_cost_ratio` is drift-immune too.
+//!
 //! All configurations produce bit-identical transcripts (pinned by
 //! tests and asserted again here); only the wall clock may differ.
 
@@ -33,12 +42,29 @@ use unfold::{decode_batch, System, TaskSpec};
 use unfold_am::Utterance;
 use unfold_decoder::{
     reference_decode, DecodeConfig, DecodeResult, DecodeScratch, NullSink, OtfDecoder,
+    StreamSession, WorkScratch,
 };
 
 /// Software-OLT capacity used by the optimized configurations. The
 /// paper's hardware table holds 32K entries (Fig 7); the software memo
 /// has no SRAM budget, so it simply matches that.
 pub const BENCH_OLT_ENTRIES: usize = 32 * 1024;
+
+/// Hypotheses per N-best list in the lattice configuration.
+pub const BENCH_NBEST: usize = 8;
+
+/// What a lattice with N-best and confidence costs on top of the
+/// optimized single-thread decode.
+#[derive(Debug, Clone, Copy)]
+pub struct LatticeCost {
+    /// Frames/sec of the lattice configuration: the optimized decode
+    /// plus tape recording, lattice build, 8-best and best-path
+    /// confidences.
+    pub frames_per_sec: f64,
+    /// Its wall time over the optimized decode's, both timed in the
+    /// same repetitions.
+    pub cost_ratio: f64,
+}
 
 /// Throughput of one worker-count configuration.
 #[derive(Debug, Clone)]
@@ -82,6 +108,10 @@ pub struct DecodeBenchReport {
     /// isolated contribution, drift-immune because both sides were
     /// interleaved within each repetition.
     pub kernel_speedup: f64,
+    /// The lattice configuration, when measured ([`measure_lattice`];
+    /// JSON `lattice_frames_per_sec` and `lattice_cost_ratio`, `null`
+    /// when absent).
+    pub lattice: Option<LatticeCost>,
     /// Real-time factor of the optimized single-thread configuration
     /// (audio seconds decoded per wall second).
     pub rtf: f64,
@@ -134,6 +164,15 @@ impl DecodeBenchReport {
             "  \"kernel_speedup\": {:.3},\n",
             self.kernel_speedup
         ));
+        match self.lattice {
+            Some(l) => s.push_str(&format!(
+                "  \"lattice_frames_per_sec\": {:.1},\n  \"lattice_cost_ratio\": {:.3},\n",
+                l.frames_per_sec, l.cost_ratio
+            )),
+            None => {
+                s.push_str("  \"lattice_frames_per_sec\": null,\n  \"lattice_cost_ratio\": null,\n")
+            }
+        }
         s.push_str(&format!("  \"rtf\": {:.1},\n", self.rtf));
         s.push_str(&format!("  \"olt_probes\": {},\n", self.olt_probes));
         match self.olt_hit_rate {
@@ -351,6 +390,7 @@ pub fn measure(system: &System, utts: &[Utterance], reps: usize) -> DecodeBenchR
         legacy_frames_per_sec: frames as f64 / legacy_secs,
         single_thread_speedup: naive_secs / opt_secs,
         kernel_speedup: legacy_secs / opt_secs,
+        lattice: None,
         rtf: audio_seconds / opt_secs,
         olt_probes,
         olt_hit_rate: if olt_probes > 0 {
@@ -360,6 +400,80 @@ pub fn measure(system: &System, utts: &[Utterance], reps: usize) -> DecodeBenchR
         },
         jobs: jobs_points,
         skipped_oversubscribed: skipped,
+    }
+}
+
+/// Measures the lattice configuration on `utts` against the optimized
+/// decode, the two timed strictly interleaved within each of `reps`
+/// repetitions (median taken). It runs apart from [`measure`]: lattice
+/// sessions grow the heap in bursts, which in-process RSS probes running
+/// alongside a quick `measure` would misread as their own.
+pub fn measure_lattice(system: &System, utts: &[Utterance], reps: usize) -> LatticeCost {
+    let reps = reps.max(1);
+    let frames: usize = utts.iter().map(|u| u.scores.num_frames()).sum();
+    let cfg = DecodeConfig::builder()
+        .olt_entries(BENCH_OLT_ENTRIES)
+        .build()
+        .expect("valid bench config");
+    let dec = OtfDecoder::new(cfg);
+    let mut scratch = DecodeScratch::new();
+    let mut decode = |u: &Utterance| -> Vec<u32> {
+        dec.decode_with(
+            &system.am_comp,
+            &system.lm_comp,
+            &u.scores,
+            &mut scratch,
+            &mut NullSink,
+        )
+        .words
+    };
+    // One lattice session per utterance on a warm worker scratch,
+    // finalized, then N-best and confidences.
+    let mut work = WorkScratch::new();
+    let mut lattice = |u: &Utterance| -> Vec<u32> {
+        work.begin(&cfg);
+        let mut session = StreamSession::new(cfg);
+        session.enable_lattice();
+        session.seed(&system.am_comp, &system.lm_comp, &mut work, &mut NullSink);
+        for t in 0..u.scores.num_frames() {
+            session.push_frame(
+                &system.am_comp,
+                &system.lm_comp,
+                &mut work,
+                u.scores.frame(t),
+                &mut NullSink,
+            );
+        }
+        let (res, lat) = session.finalize_lattice(&system.am_comp, &mut NullSink);
+        std::hint::black_box(lat.nbest(BENCH_NBEST));
+        std::hint::black_box(lat.best_path_detail());
+        res.words
+    };
+    for u in utts {
+        assert_eq!(
+            lattice(u),
+            decode(u),
+            "lattice recording must not change output"
+        );
+    }
+    let mut decode_samples = Vec::with_capacity(reps);
+    let mut lattice_samples = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        for u in utts {
+            decode(u);
+        }
+        decode_samples.push(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        for u in utts {
+            lattice(u);
+        }
+        lattice_samples.push(t0.elapsed().as_secs_f64());
+    }
+    let lattice_secs = median(lattice_samples);
+    LatticeCost {
+        frames_per_sec: frames as f64 / lattice_secs,
+        cost_ratio: lattice_secs / median(decode_samples),
     }
 }
 
@@ -383,7 +497,10 @@ pub fn measure_default() -> DecodeBenchReport {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(30);
-    measure(&system, &utts, reps)
+    DecodeBenchReport {
+        lattice: Some(measure_lattice(&system, &utts, reps)),
+        ..measure(&system, &utts, reps)
+    }
 }
 
 /// Output path: `UNFOLD_BENCH_JSON`, or `BENCH_decode.json` at the
@@ -464,6 +581,7 @@ mod tests {
             legacy_frames_per_sec: 0.0,
             single_thread_speedup: 1.0,
             kernel_speedup: 1.0,
+            lattice: None,
             rtf: 0.0,
             olt_probes: 0,
             olt_hit_rate: None,
@@ -473,6 +591,9 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"olt_hit_rate\": null"), "{json}");
         assert!(json.contains("\"olt_probes\": 0"), "{json}");
+        // An unmeasured lattice configuration reads null too.
+        assert!(json.contains("\"lattice_frames_per_sec\": null"), "{json}");
+        assert!(json.contains("\"lattice_cost_ratio\": null"), "{json}");
     }
 
     #[test]

@@ -24,19 +24,47 @@
 //! search: recording never changes decode output, stats, or the trace
 //! event stream.
 //!
-//! The post-pass ([`WordLattice::build`]) works in two semirings through
-//! the [`Semiring`] trait: tropical (min, +) for the exact
-//! forward/backward Viterbi scores that drive lattice-beam pruning, and
-//! log (-log-sum-exp, +) for the forward/backward occupation scores that
-//! yield arc posteriors — per-word confidence.
+//! The tape is *population-monotone*: records are appended frame by
+//! frame, each record's destination is the current token population,
+//! and its source is that population (epsilon closure) or the one before
+//! (emitting expansion). [`WordLattice::build`] leans on this instead of
+//! sorting the whole tape or keeping an ordered map:
+//! - nodes are numbered population by population: the tokens that relax
+//!   something, plus the start or final keys, are interned in a small
+//!   table and sorted, and a node's id is its population's base plus its
+//!   rank — exactly the global `(population, key)` order. Destinations
+//!   that relax nothing (tokens the next frame's beam pruned, about half
+//!   of them) are dead ends no complete path crosses, and their records
+//!   are dropped up front;
+//! - with ids known, records are bucketed by source (a counting sort)
+//!   and each bucket of a few records is sorted, which yields the
+//!   canonical `(src, dst, word, cost)` arc order;
+//! - emitting arcs only ever advance one population, so the
+//!   smallest-index-first topological order is a concatenation of
+//!   per-population runs over the epsilon arcs.
+//!
+//! The post-pass then works in two semirings through the [`Semiring`]
+//! trait: tropical (min, +) for the exact forward/backward Viterbi
+//! scores that drive lattice-beam pruning, and log (-log-sum-exp, +) for
+//! the forward/backward occupation scores that yield arc posteriors —
+//! per-word confidence. N-best paths come from a best-first walk whose
+//! partial paths are back-pointers into an append-only arena and whose
+//! word prefixes are interned ids, so no path is copied until it is
+//! returned.
+//!
+//! On a 2-core VM, a TEDLIUM utterance of the repo benchmark's
+//! `offline_lattice` workload (~28k tape records) spends about 2.0 ms in
+//! search, 1.6 ms in the build and 0.2 ms in 8-best plus best-path
+//! confidence (DESIGN.md §14).
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use unfold_lm::WordId;
 use unfold_wfst::{LogWeight, Semiring, TropicalWeight};
 
 use crate::config::DecodeResult;
-use crate::search::TokenStore;
+use crate::search::{TokenMap, TokenStore};
 use crate::sources::AmSource;
 
 /// Bytes one lattice entry occupies in the compact representation
@@ -215,6 +243,30 @@ impl Lattice {
         words.reverse();
         words
     }
+
+    /// Tape offsets where each population's segment starts (records
+    /// whose destination is that population), plus the tape length:
+    /// `cur_pop + 2` entries.
+    fn segments(&self) -> Vec<usize> {
+        debug_assert!(
+            self.tape.windows(2).all(|w| w[0].dst_pop <= w[1].dst_pop)
+                && self.tape.iter().all(|a| {
+                    a.dst_pop <= self.cur_pop
+                        && (a.src_pop == a.dst_pop || a.src_pop + 1 == a.dst_pop)
+                }),
+            "expansion tape is not population-monotone"
+        );
+        let mut seg = Vec::with_capacity(self.cur_pop as usize + 2);
+        let mut i = 0;
+        for p in 0..=self.cur_pop {
+            seg.push(i);
+            while i < self.tape.len() && self.tape[i].dst_pop == p {
+                i += 1;
+            }
+        }
+        seg.push(i);
+        seg
+    }
 }
 
 /// A node of a [`WordLattice`]: one surviving search token, identified
@@ -297,6 +349,93 @@ impl Default for WordLattice {
 /// Safety valve for the best-first path enumerations: total heap pops.
 const EXPLORE_BUDGET: usize = 400_000;
 
+/// Destination id of a tape record whose destination is a dead end.
+const DEAD_END: u32 = u32::MAX;
+
+/// A deduplicated tape record in node ids: the canonical arc list is a
+/// sequence of these ordered by `(src, dst, word, cost)`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    src: u32,
+    dst: u32,
+    word: WordId,
+    cost: f32,
+}
+
+/// The keys of one token population, interned in first-seen order: an
+/// open-addressing table whose slots are tagged with the population they
+/// were filled for, so moving to the next population clears nothing.
+#[derive(Default)]
+struct KeyTable {
+    /// `(key, first-seen index, population tag)`; tag 0 is never used.
+    slots: Vec<(u64, u32, u32)>,
+    tag: u32,
+    keys: Vec<u64>,
+    order: Vec<(u64, u32)>,
+}
+
+impl KeyTable {
+    /// Empties the table for a population of at most `max_keys` keys.
+    fn clear(&mut self, max_keys: usize) {
+        let want = (2 * max_keys).next_power_of_two().max(16);
+        if self.slots.len() < want {
+            self.slots = vec![(0, 0, 0); want];
+            self.tag = 0;
+        }
+        self.tag += 1;
+        self.keys.clear();
+    }
+
+    /// Where `key` sits: its first-seen index, or the free slot it
+    /// would take.
+    #[inline]
+    fn find(&self, key: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            let (k, local, tag) = self.slots[i];
+            if tag != self.tag {
+                return Err(i);
+            }
+            if k == key {
+                return Ok(local);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The key's first-seen index, interning it if it is new.
+    fn intern(&mut self, key: u64) -> u32 {
+        self.find(key).unwrap_or_else(|slot| {
+            let local = self.keys.len() as u32;
+            self.slots[slot] = (key, local, self.tag);
+            self.keys.push(key);
+            local
+        })
+    }
+
+    /// The key's first-seen index, if it was interned.
+    fn get(&self, key: u64) -> Option<u32> {
+        self.find(key).ok()
+    }
+
+    /// Appends the interned keys to `keys` in ascending order, and to
+    /// `id_of` the id of each first-seen index: the population's base
+    /// (`keys.len()` on entry) plus the key's rank.
+    fn sort_into(&mut self, keys: &mut Vec<u64>, id_of: &mut Vec<u32>) {
+        let lo = keys.len();
+        self.order.clear();
+        self.order
+            .extend(self.keys.iter().zip(0u32..).map(|(&k, i)| (k, i)));
+        self.order.sort_unstable_by_key(|&(k, _)| k);
+        id_of.resize(lo + self.keys.len(), 0);
+        for (&(k, i), id) in self.order.iter().zip(lo as u32..) {
+            id_of[lo + i as usize] = id;
+            keys.push(k);
+        }
+    }
+}
+
 impl WordLattice {
     /// The empty lattice (an incomplete decode).
     pub(crate) fn empty() -> Self {
@@ -321,6 +460,8 @@ impl WordLattice {
     ) -> WordLattice {
         debug_assert!(tape.is_recording(), "building a lattice without a tape");
         let t_final = tape.cur_pop;
+        let pops = t_final as usize + 1;
+        let seg = tape.segments();
 
         // Final (key, final weight) pairs from the last population.
         let mut final_keys: Vec<(u64, f32)> = Vec::new();
@@ -331,49 +472,105 @@ impl WordLattice {
             }
         }
 
-        // Node universe, canonically ordered by (population, key).
-        let mut ids: BTreeMap<(u32, u64), u32> = BTreeMap::new();
-        ids.insert((0, tape.start_key), 0);
-        for a in &tape.tape {
-            ids.insert((a.src_pop, a.src_key), 0);
-            ids.insert((a.dst_pop, a.dst_key), 0);
+        // Node universe, numbered population by population: the tokens
+        // of population `p` that relax something (the sources of its
+        // segment's epsilon records and of the next segment's emitting
+        // records), plus the start or the final keys. A destination
+        // outside that set is a dead end — a token the next frame's beam
+        // pruned, about half of all destinations: no complete path
+        // crosses it, so no arc into it could survive the lattice beam.
+        // Its records are dropped here. That changes nothing downstream:
+        // a sink's removal keeps every other node's relative order,
+        // forward score, Kahn position and backward fold, and an
+        // infinite backward score never wins a tropical fold.
+        //
+        // Each population's keys are interned into a small table in
+        // first-seen order, then sorted: a node's id is its population's
+        // base plus its key's rank, so ids follow the canonical
+        // (population, key) order. `ends` records every tape record's
+        // (source, destination) in first-seen numbering, which `id_of`
+        // maps to ids.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut id_of: Vec<u32> = Vec::new();
+        let mut base: Vec<u32> = Vec::with_capacity(pops + 1);
+        let mut ends = vec![(0u32, DEAD_END); tape.tape.len()];
+        let mut table = KeyTable::default();
+        let (mut start, mut finals_id) = (0u32, Vec::with_capacity(final_keys.len()));
+        for p in 0..pops {
+            let lo = keys.len() as u32;
+            base.push(lo);
+            // The records leaving `p`: its segment's epsilon records and
+            // the next segment's emitting records.
+            let leaving = seg[p]..seg[(p + 2).min(pops)];
+            table.clear(leaving.len() + 1 + final_keys.len());
+            for i in leaving {
+                let a = &tape.tape[i];
+                if a.src_pop as usize == p {
+                    ends[i].0 = lo + table.intern(a.src_key);
+                }
+            }
+            if p == 0 {
+                start = lo + table.intern(tape.start_key);
+            }
+            if p + 1 == pops {
+                finals_id.extend(final_keys.iter().map(|&(k, fw)| (lo + table.intern(k), fw)));
+            }
+            let here = seg[p]..seg[p + 1];
+            for (end, a) in ends[here.clone()].iter_mut().zip(&tape.tape[here]) {
+                end.1 = table.get(a.dst_key).map_or(DEAD_END, |local| lo + local);
+            }
+            table.sort_into(&mut keys, &mut id_of);
         }
-        for &(k, _) in &final_keys {
-            ids.insert((t_final, k), 0);
+        base.push(keys.len() as u32);
+        let n = keys.len();
+        start = id_of[start as usize];
+        for f in &mut finals_id {
+            f.0 = id_of[f.0 as usize];
         }
-        let mut node_meta: Vec<(u32, u64)> = Vec::with_capacity(ids.len());
-        for (i, ((pop, key), v)) in ids.iter_mut().enumerate() {
-            *v = i as u32;
-            node_meta.push((*pop, *key));
-        }
-        let n = node_meta.len();
-        let start = ids[&(0, tape.start_key)];
 
-        // Canonical arc list: sorted, then deduplicated to the cheapest
-        // record per (src, dst, word). Duplicates arise whenever the
-        // closure re-expands an improved token; the minimum is exactly
-        // the settled source cost plus the arc cost, so the surviving
-        // record is independent of the order the search emitted them in.
-        let mut raw: Vec<TapeArc> = tape.tape.clone();
-        raw.sort_by(|a, b| {
-            (a.src_pop, a.src_key, a.dst_pop, a.dst_key, a.word)
-                .cmp(&(b.src_pop, b.src_key, b.dst_pop, b.dst_key, b.word))
-                .then(a.dst_cost.total_cmp(&b.dst_cost))
-        });
-        raw.dedup_by(|next, kept| {
-            (
-                next.src_pop,
-                next.src_key,
-                next.dst_pop,
-                next.dst_key,
-                next.word,
-            ) == (
-                kept.src_pop,
-                kept.src_key,
-                kept.dst_pop,
-                kept.dst_key,
-                kept.word,
-            )
+        // Canonical arc list: records sorted by (src, dst, word, cost),
+        // then deduplicated to the cheapest per (src, dst, word).
+        // Duplicates arise whenever the closure re-expands an improved
+        // token; the minimum is exactly the settled source cost plus the
+        // arc cost, so the surviving record is independent of the order
+        // the search emitted them in. With ids known, the records are
+        // bucketed by source (a counting sort) and only each bucket — a
+        // handful of records — is sorted.
+        let live: Vec<Row> = tape
+            .tape
+            .iter()
+            .zip(&ends)
+            .filter(|&(_, &(_, dst))| dst != DEAD_END)
+            .map(|(a, &(src, dst))| Row {
+                src: id_of[src as usize],
+                dst: id_of[dst as usize],
+                word: a.word,
+                cost: a.dst_cost,
+            })
+            .collect();
+        drop(ends);
+        let mut bucket = vec![0u32; n + 1];
+        for r in &live {
+            bucket[r.src as usize + 1] += 1;
+        }
+        for i in 0..n {
+            bucket[i + 1] += bucket[i];
+        }
+        let mut rows = live.clone();
+        let mut fill = bucket.clone();
+        for r in live {
+            rows[fill[r.src as usize] as usize] = r;
+            fill[r.src as usize] += 1;
+        }
+        for w in bucket.windows(2).filter(|w| w[1] - w[0] > 1) {
+            rows[w[0] as usize..w[1] as usize].sort_unstable_by(|a, b| {
+                (a.dst, a.word)
+                    .cmp(&(b.dst, b.word))
+                    .then(a.cost.total_cmp(&b.cost))
+            });
+        }
+        rows.dedup_by(|next, kept| {
+            (next.src, next.dst, next.word) == (kept.src, kept.dst, kept.word)
         });
 
         // Exact tropical forward: a node's cost is the cheapest recorded
@@ -382,84 +579,92 @@ impl WordLattice {
         // multiset.
         let mut fv = vec![f32::INFINITY; n];
         fv[start as usize] = 0.0;
-        for a in &raw {
-            let d = ids[&(a.dst_pop, a.dst_key)] as usize;
-            let c = TropicalWeight::from_cost(a.dst_cost)
+        for r in &rows {
+            let d = r.dst as usize;
+            fv[d] = TropicalWeight::from_cost(r.cost)
                 .plus(TropicalWeight::from_cost(fv[d]))
                 .value();
-            fv[d] = c;
         }
 
         // Provisional arcs with weight w = dst_cost - forward(src); the
         // decomposition makes every path's arc-weight sum equal its
         // search cost (up to float re-association). Self-loops are
         // dropped: the strict-improvement relax predicate means the
-        // search itself never takes them.
-        struct PArc {
-            from: u32,
-            to: u32,
-            word: WordId,
-            w: f32,
-        }
-        let mut parcs: Vec<PArc> = Vec::with_capacity(raw.len());
-        for a in &raw {
-            let s = ids[&(a.src_pop, a.src_key)];
-            let d = ids[&(a.dst_pop, a.dst_key)];
-            let w = a.dst_cost - fv[s as usize];
-            if s != d && w.is_finite() {
-                parcs.push(PArc {
-                    from: s,
-                    to: d,
-                    word: a.word,
-                    w,
-                });
+        // search itself never takes them. The rows stay sorted by
+        // source, so the CSR offsets follow directly.
+        let mut parcs: Vec<Row> = Vec::with_capacity(rows.len());
+        for r in &rows {
+            let w = r.cost - fv[r.src as usize];
+            if r.src != r.dst && w.is_finite() {
+                parcs.push(Row { cost: w, ..*r });
             }
         }
-
-        // CSR over the provisional arcs (they are sorted by `from`
-        // because node ids follow the (population, key) sort order).
+        drop(rows);
         let mut pstart = vec![0u32; n + 1];
         for a in &parcs {
-            pstart[a.from as usize + 1] += 1;
+            pstart[a.src as usize + 1] += 1;
         }
         for i in 0..n {
             pstart[i + 1] += pstart[i];
         }
+        let out = |u: u32| &parcs[pstart[u as usize] as usize..pstart[u as usize + 1] as usize];
 
-        // Topological order (Kahn, smallest node index first — emitting
-        // arcs advance the frame, so this is near-sequential). Any
-        // leftover nodes (an epsilon cycle, which well-formed models do
-        // not produce) are appended in index order as a defensive
+        // Topological order: Kahn's algorithm, smallest node index
+        // first. Emitting arcs only advance one population and ids are
+        // population-major, so the global run is a concatenation of
+        // per-population runs: a population's ready nodes live in a
+        // bitset whose lowest set bit is the next node out (its emitting
+        // targets are released by decrements but only become ready once
+        // their own population's run starts). Any leftover nodes (an
+        // epsilon cycle, which well-formed models do not produce, and
+        // whatever it feeds) are appended in index order as a defensive
         // fallback; the enumeration budgets below keep everything
         // terminating regardless.
         let topo = {
             let mut indeg = vec![0u32; n];
             for a in &parcs {
-                indeg[a.to as usize] += 1;
-            }
-            let mut heap = std::collections::BinaryHeap::new();
-            for (i, &d) in indeg.iter().enumerate() {
-                if d == 0 {
-                    heap.push(std::cmp::Reverse(i as u32));
-                }
+                indeg[a.dst as usize] += 1;
             }
             let mut order = Vec::with_capacity(n);
-            let mut seen = vec![false; n];
-            while let Some(std::cmp::Reverse(u)) = heap.pop() {
-                order.push(u);
-                seen[u as usize] = true;
-                let (lo, hi) = (pstart[u as usize] as usize, pstart[u as usize + 1] as usize);
-                for a in &parcs[lo..hi] {
-                    indeg[a.to as usize] -= 1;
-                    if indeg[a.to as usize] == 0 {
-                        heap.push(std::cmp::Reverse(a.to));
+            let mut ready = vec![0u64; n.div_ceil(64)];
+            let set = |ready: &mut [u64], v: u32| ready[v as usize / 64] |= 1 << (v % 64);
+            for p in 0..pops {
+                let (lo, hi) = (base[p], base[p + 1]);
+                for v in (lo..hi).filter(|&v| indeg[v as usize] == 0) {
+                    set(&mut ready, v);
+                }
+                // Every ready node is at or above `low`.
+                let mut low = lo;
+                while low < hi {
+                    let mut w = low as usize / 64;
+                    let mut bits = ready[w] & (u64::MAX << (low % 64));
+                    while bits == 0 && (w + 1) * 64 < hi as usize {
+                        w += 1;
+                        bits = ready[w];
+                    }
+                    if bits == 0 {
+                        break;
+                    }
+                    let u = (w * 64) as u32 + bits.trailing_zeros();
+                    ready[w] &= !(1 << (u % 64));
+                    order.push(u);
+                    low = u + 1;
+                    for a in out(u) {
+                        let d = a.dst as usize;
+                        indeg[d] -= 1;
+                        if indeg[d] == 0 && a.dst < hi {
+                            set(&mut ready, a.dst);
+                            low = low.min(a.dst);
+                        }
                     }
                 }
             }
-            for i in 0..n as u32 {
-                if !seen[i as usize] {
-                    order.push(i);
+            if order.len() < n {
+                let mut placed = vec![false; n];
+                for &u in &order {
+                    placed[u as usize] = true;
                 }
+                order.extend((0..n as u32).filter(|&i| !placed[i as usize]));
             }
             order
         };
@@ -467,18 +672,16 @@ impl WordLattice {
         // Tropical backward over the provisional lattice (reverse
         // topological, exact on a DAG).
         let mut bv = vec![f32::INFINITY; n];
-        for &(k, fw) in &final_keys {
-            let d = ids[&(t_final, k)] as usize;
-            bv[d] = TropicalWeight::from_cost(fw)
-                .plus(TropicalWeight::from_cost(bv[d]))
+        for &(d, fw) in &finals_id {
+            bv[d as usize] = TropicalWeight::from_cost(fw)
+                .plus(TropicalWeight::from_cost(bv[d as usize]))
                 .value();
         }
         for &u in topo.iter().rev() {
-            let (lo, hi) = (pstart[u as usize] as usize, pstart[u as usize + 1] as usize);
             let mut acc = TropicalWeight::from_cost(bv[u as usize]);
-            for a in &parcs[lo..hi] {
-                acc = TropicalWeight::from_cost(a.w)
-                    .times(TropicalWeight::from_cost(bv[a.to as usize]))
+            for a in out(u) {
+                acc = TropicalWeight::from_cost(a.cost)
+                    .times(TropicalWeight::from_cost(bv[a.dst as usize]))
                     .plus(acc);
             }
             bv[u as usize] = acc.value();
@@ -487,9 +690,8 @@ impl WordLattice {
         // Best complete cost: minimum over finals of forward + final
         // weight (the same fold the search's finish step performs).
         let mut best = TropicalWeight::zero();
-        for &(k, fw) in &final_keys {
-            let d = ids[&(t_final, k)] as usize;
-            best = TropicalWeight::from_cost(fv[d])
+        for &(d, fw) in &finals_id {
+            best = TropicalWeight::from_cost(fv[d as usize])
                 .times(TropicalWeight::from_cost(fw))
                 .plus(best);
         }
@@ -506,59 +708,54 @@ impl WordLattice {
         let bound = best_cost + lattice_beam;
         let mut keep_node = vec![false; n];
         keep_node[start as usize] = true;
-        let kept: Vec<usize> = (0..parcs.len())
-            .filter(|&i| {
-                let a = &parcs[i];
-                fv[a.from as usize] + a.w + bv[a.to as usize] <= bound
-            })
+        let kept: Vec<&Row> = parcs
+            .iter()
+            .filter(|a| fv[a.src as usize] + a.cost + bv[a.dst as usize] <= bound)
             .collect();
-        for &i in &kept {
-            keep_node[parcs[i].from as usize] = true;
-            keep_node[parcs[i].to as usize] = true;
+        for a in &kept {
+            keep_node[a.src as usize] = true;
+            keep_node[a.dst as usize] = true;
         }
-        for &(k, fw) in &final_keys {
-            let d = ids[&(t_final, k)] as usize;
-            if fv[d] + fw <= bound {
-                keep_node[d] = true;
+        for &(d, fw) in &finals_id {
+            if fv[d as usize] + fw <= bound {
+                keep_node[d as usize] = true;
             }
         }
 
         // Renumber (sorted order preserved) and assemble.
         let mut remap = vec![u32::MAX; n];
         let mut nodes: Vec<LatticeNode> = Vec::new();
-        for i in 0..n {
-            if keep_node[i] {
-                remap[i] = nodes.len() as u32;
-                nodes.push(LatticeNode {
-                    frame: node_meta[i].0,
-                    key: node_meta[i].1,
-                    forward: fv[i],
-                    backward: bv[i],
-                    log_forward: f32::INFINITY,
-                    log_backward: f32::INFINITY,
-                });
+        for p in 0..pops {
+            for i in base[p] as usize..base[p + 1] as usize {
+                if keep_node[i] {
+                    remap[i] = nodes.len() as u32;
+                    nodes.push(LatticeNode {
+                        frame: p as u32,
+                        key: keys[i],
+                        forward: fv[i],
+                        backward: bv[i],
+                        log_forward: f32::INFINITY,
+                        log_backward: f32::INFINITY,
+                    });
+                }
             }
         }
         let arcs: Vec<LatticeArc> = kept
             .iter()
-            .map(|&i| {
-                let a = &parcs[i];
-                LatticeArc {
-                    from: remap[a.from as usize],
-                    to: remap[a.to as usize],
-                    word: a.word,
-                    weight: a.w,
-                    posterior: 0.0,
-                }
+            .map(|a| LatticeArc {
+                from: remap[a.src as usize],
+                to: remap[a.dst as usize],
+                word: a.word,
+                weight: a.cost,
+                posterior: 0.0,
             })
             .collect();
-        let finals: Vec<(u32, f32)> = final_keys
+        let mut finals: Vec<(u32, f32)> = finals_id
             .iter()
-            .filter_map(|&(k, fw)| {
-                let d = ids[&(t_final, k)] as usize;
-                (keep_node[d] && fv[d] + fw <= bound).then(|| (remap[d], fw))
-            })
+            .filter(|&&(d, fw)| keep_node[d as usize] && fv[d as usize] + fw <= bound)
+            .map(|&(d, fw)| (remap[d as usize], fw))
             .collect();
+        finals.sort_by_key(|&(d, _)| d);
         let m = nodes.len();
         let mut arc_start = vec![0u32; m + 1];
         for a in &arcs {
@@ -571,11 +768,7 @@ impl WordLattice {
             nodes,
             arcs,
             arc_start,
-            finals: {
-                let mut f = finals;
-                f.sort_by_key(|&(d, _)| d);
-                f
-            },
+            finals,
             start: remap[start as usize],
             best_cost,
             num_frames: t_final,
@@ -820,6 +1013,12 @@ impl WordLattice {
     /// sequence or a better cost) — without this, time-alignment
     /// variants of one word sequence crowd out genuinely different
     /// sequences and the search degenerates.
+    ///
+    /// Partial paths are never copied: each queued item points at the
+    /// last step of its path in an append-only `(previous step, arc)`
+    /// arena, and word prefixes are interned as `(parent prefix, word)`
+    /// ids, so equal sequences share one id. Arc lists are materialized
+    /// only for the paths returned.
     fn explore_arcs(
         &self,
         max_paths: usize,
@@ -828,14 +1027,18 @@ impl WordLattice {
         per_node_cap: usize,
     ) -> (Vec<(Vec<u32>, f64)>, bool) {
         const SUPER_FINAL: u32 = u32::MAX;
+        /// `Item::step` of a path with no arcs yet.
+        const NO_STEP: u32 = u32::MAX;
         #[derive(Debug)]
         struct Item {
             est: f64,
             seq: u64,
             node: u32,
             g: f64,
-            arcs: Vec<u32>,
-            words: Vec<WordId>,
+            /// Last arena step of the path.
+            step: u32,
+            /// Interned word prefix of the path.
+            prefix: u32,
         }
         impl PartialEq for Item {
             fn eq(&self, o: &Self) -> bool {
@@ -853,108 +1056,134 @@ impl WordLattice {
                 self.est.total_cmp(&o.est).then(self.seq.cmp(&o.seq))
             }
         }
+        let pair = |hi: u32, lo: u32| (u64::from(hi) << 32) | u64::from(lo);
 
-        let mut out: Vec<(Vec<u32>, f64)> = Vec::new();
-        if self.finals.is_empty() {
-            return (out, true);
-        }
-        let mut final_weight = vec![f32::INFINITY; self.nodes.len()];
-        for &(d, fw) in &self.finals {
-            final_weight[d as usize] = final_weight[d as usize].min(fw);
-        }
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<Item>> =
-            std::collections::BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut pops = vec![0usize; self.nodes.len()];
-        let mut seen: std::collections::BTreeSet<Vec<WordId>> = std::collections::BTreeSet::new();
-        // Best g per (node, word prefix): the alignment-merge table.
-        let mut best_prefix: std::collections::BTreeMap<(u32, Vec<WordId>), f64> =
-            std::collections::BTreeMap::new();
-        let start_est = f64::from(self.nodes[self.start as usize].backward);
-        best_prefix.insert((self.start, Vec::new()), 0.0);
-        heap.push(std::cmp::Reverse(Item {
-            est: start_est,
-            seq,
-            node: self.start,
-            g: 0.0,
-            arcs: Vec::new(),
-            words: Vec::new(),
-        }));
-        let mut total_pops = 0usize;
-        while let Some(std::cmp::Reverse(item)) = heap.pop() {
-            if item.est > cost_bound {
-                break; // everything still queued is costlier
+        // The path arena: `(previous step, arc index)` per step.
+        let mut steps: Vec<(u32, u32)> = Vec::new();
+        // Each path found, as its last arena step and its cost.
+        let mut found: Vec<(u32, f64)> = Vec::new();
+        let complete = 'walk: {
+            if self.finals.is_empty() {
+                break 'walk true;
             }
-            total_pops += 1;
-            if total_pops > budget {
-                return (out, false);
+            let mut final_weight = vec![f32::INFINITY; self.nodes.len()];
+            for &(d, fw) in &self.finals {
+                final_weight[d as usize] = final_weight[d as usize].min(fw);
             }
-            if item.node == SUPER_FINAL {
-                if seen.insert(item.words) {
-                    out.push((item.arcs, item.g));
-                    if out.len() >= max_paths {
-                        return (out, true);
-                    }
+            let mut heap: BinaryHeap<Reverse<Item>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut pops = vec![0usize; self.nodes.len()];
+            // Interned prefixes: (parent id, word) -> id, 0 being the empty
+            // prefix; `seen[id]` marks sequences already returned.
+            let mut prefixes: TokenMap<u64, u32> = TokenMap::default();
+            let mut seen: Vec<bool> = vec![false];
+            // Best g per (node, word prefix): the alignment-merge table.
+            let mut best_prefix: TokenMap<u64, f64> = TokenMap::default();
+            let start_est = f64::from(self.nodes[self.start as usize].backward);
+            best_prefix.insert(pair(self.start, 0), 0.0);
+            heap.push(Reverse(Item {
+                est: start_est,
+                seq,
+                node: self.start,
+                g: 0.0,
+                step: NO_STEP,
+                prefix: 0,
+            }));
+            let mut total_pops = 0usize;
+            while let Some(Reverse(item)) = heap.pop() {
+                if item.est > cost_bound {
+                    break; // everything still queued is costlier
                 }
-                continue;
-            }
-            // A cheaper path already reached this node with this word
-            // prefix: this one is a dominated alignment variant.
-            if best_prefix
-                .get(&(item.node, item.words.clone()))
-                .is_some_and(|&g0| g0 < item.g)
-            {
-                continue;
-            }
-            let u = item.node as usize;
-            if pops[u] >= per_node_cap {
-                continue;
-            }
-            pops[u] += 1;
-            let fw = final_weight[u];
-            if fw.is_finite() {
-                let g = item.g + f64::from(fw);
-                seq += 1;
-                heap.push(std::cmp::Reverse(Item {
-                    est: g,
-                    seq,
-                    node: SUPER_FINAL,
-                    g,
-                    arcs: item.arcs.clone(),
-                    words: item.words.clone(),
-                }));
-            }
-            let (lo, hi) = self.out_range(item.node);
-            for (off, a) in self.arcs[lo..hi].iter().enumerate() {
-                let g = item.g + f64::from(a.weight);
-                let est = g + f64::from(self.nodes[a.to as usize].backward);
-                if est > cost_bound {
+                total_pops += 1;
+                if total_pops > budget {
+                    break 'walk false;
+                }
+                if item.node == SUPER_FINAL {
+                    if !seen[item.prefix as usize] {
+                        seen[item.prefix as usize] = true;
+                        found.push((item.step, item.g));
+                        if found.len() >= max_paths {
+                            break 'walk true;
+                        }
+                    }
                     continue;
                 }
-                let mut words = item.words.clone();
-                if a.word != 0 {
-                    words.push(a.word);
+                // A cheaper path already reached this node with this word
+                // prefix: this one is a dominated alignment variant.
+                if best_prefix
+                    .get(&pair(item.node, item.prefix))
+                    .is_some_and(|&g0| g0 < item.g)
+                {
+                    continue;
                 }
-                match best_prefix.get(&(a.to, words.clone())) {
-                    Some(&g0) if g0 <= g => continue, // dominated
-                    _ => {
-                        best_prefix.insert((a.to, words.clone()), g);
+                let u = item.node as usize;
+                if pops[u] >= per_node_cap {
+                    continue;
+                }
+                pops[u] += 1;
+                let fw = final_weight[u];
+                if fw.is_finite() {
+                    let g = item.g + f64::from(fw);
+                    seq += 1;
+                    heap.push(Reverse(Item {
+                        est: g,
+                        seq,
+                        node: SUPER_FINAL,
+                        g,
+                        ..item
+                    }));
+                }
+                let (lo, hi) = self.out_range(item.node);
+                for (off, a) in self.arcs[lo..hi].iter().enumerate() {
+                    let g = item.g + f64::from(a.weight);
+                    let est = g + f64::from(self.nodes[a.to as usize].backward);
+                    if est > cost_bound {
+                        continue;
                     }
+                    let prefix = if a.word == 0 {
+                        item.prefix
+                    } else {
+                        let next = seen.len() as u32;
+                        let id = *prefixes.entry(pair(item.prefix, a.word)).or_insert(next);
+                        if id == next {
+                            seen.push(false);
+                        }
+                        id
+                    };
+                    match best_prefix.get(&pair(a.to, prefix)) {
+                        Some(&g0) if g0 <= g => continue, // dominated
+                        _ => {
+                            best_prefix.insert(pair(a.to, prefix), g);
+                        }
+                    }
+                    steps.push((item.step, (lo + off) as u32));
+                    seq += 1;
+                    heap.push(Reverse(Item {
+                        est,
+                        seq,
+                        node: a.to,
+                        g,
+                        step: steps.len() as u32 - 1,
+                        prefix,
+                    }));
                 }
-                let mut arcs = item.arcs.clone();
-                arcs.push((lo + off) as u32);
-                seq += 1;
-                heap.push(std::cmp::Reverse(Item {
-                    est,
-                    seq,
-                    node: a.to,
-                    g,
-                    arcs,
-                    words,
-                }));
             }
-        }
-        (out, true)
+            true
+        };
+        let paths = found
+            .into_iter()
+            .map(|(mut step, g)| {
+                let mut arcs = Vec::new();
+                while step != NO_STEP {
+                    let (prev, arc) = steps[step as usize];
+                    arcs.push(arc);
+                    step = prev;
+                }
+                arcs.reverse();
+                (arcs, g)
+            })
+            .collect();
+        (paths, complete)
     }
 
     /// Whether two lattices are bit-for-bit identical: same structure
@@ -1112,27 +1341,100 @@ mod tests {
         (u64::from(am) << 32) | u64::from(lm)
     }
 
+    /// One step of a hand-built expansion tape.
+    enum Op {
+        /// Next frame: advance the token population.
+        Frame,
+        /// Emitting relaxation `(src, dst, word, dst_cost)`.
+        Emit(u64, u64, WordId, f32),
+        /// Epsilon relaxation `(src, dst, word, dst_cost)`.
+        Eps(u64, u64, WordId, f32),
+    }
+
+    /// Builds a lattice from a hand-built tape seeded at `start`, with
+    /// `finals` (insertion order) as the final token population.
+    fn build_tape(start: u64, ops: &[Op], finals: &[u64], beam: f32) -> WordLattice {
+        let mut tape = Lattice::new();
+        tape.set_recording(true);
+        tape.record_start(start);
+        for op in ops {
+            match *op {
+                Op::Frame => tape.advance_pop(),
+                Op::Emit(s, d, w, c) => tape.record_emit(s, d, w, c),
+                Op::Eps(s, d, w, c) => tape.record_eps(s, d, w, c),
+            }
+        }
+        let mut population = TokenStore::default();
+        for &k in finals {
+            population.insert(
+                k,
+                crate::search::Token {
+                    cost: 0.0,
+                    lat: LATTICE_ROOT,
+                },
+            );
+        }
+        WordLattice::build(&AllFinal, &tape, &population, beam)
+    }
+
     /// Hand-built diamond: start splits into two one-frame hypotheses
     /// (words 1 and 2) that rejoin at a shared final token.
     fn diamond(beam: f32) -> WordLattice {
-        let mut tape = Lattice::new();
-        tape.set_recording(true);
-        tape.record_start(key(0, 0));
-        tape.advance_pop();
-        tape.record_emit(key(0, 0), key(1, 1), 1, 1.0);
-        tape.record_emit(key(0, 0), key(2, 2), 2, 3.0);
-        tape.advance_pop();
-        tape.record_emit(key(1, 1), key(3, 3), 0, 2.0);
-        tape.record_emit(key(2, 2), key(3, 3), 0, 4.0);
-        let mut finals = TokenStore::default();
-        finals.insert(
-            key(3, 3),
-            crate::search::Token {
-                cost: 2.0,
-                lat: LATTICE_ROOT,
-            },
+        build_tape(
+            key(0, 0),
+            &[
+                Op::Frame,
+                Op::Emit(key(0, 0), key(1, 1), 1, 1.0),
+                Op::Emit(key(0, 0), key(2, 2), 2, 3.0),
+                Op::Frame,
+                Op::Emit(key(1, 1), key(3, 3), 0, 2.0),
+                Op::Emit(key(2, 2), key(3, 3), 0, 4.0),
+            ],
+            &[key(3, 3)],
+            beam,
+        )
+    }
+
+    /// Every float bit and index of a lattice, for pinning hand-built
+    /// cases exactly.
+    fn dump(lat: &WordLattice) -> String {
+        let mut out = format!(
+            "start {} frames {} best {:#x}\n",
+            lat.start(),
+            lat.num_frames(),
+            lat.best_cost().to_bits()
         );
-        WordLattice::build(&AllFinal, &tape, &finals, beam)
+        for n in lat.nodes() {
+            out += &format!(
+                "node {} {:#x} {:#x} {:#x} {:#x} {:#x}\n",
+                n.frame,
+                n.key,
+                n.forward.to_bits(),
+                n.backward.to_bits(),
+                n.log_forward.to_bits(),
+                n.log_backward.to_bits()
+            );
+        }
+        for a in lat.arcs() {
+            out += &format!(
+                "arc {} {} {} {:#x} {:#x}\n",
+                a.from,
+                a.to,
+                a.word,
+                a.weight.to_bits(),
+                a.posterior.to_bits()
+            );
+        }
+        for &(n, fw) in lat.finals() {
+            out += &format!("final {n} {:#x}\n", fw.to_bits());
+        }
+        for (words, cost) in lat.nbest(8) {
+            out += &format!("nbest {words:?} {:#x}\n", cost.to_bits());
+        }
+        for h in lat.best_path_detail() {
+            out += &format!("hyp {} {} {:#x}\n", h.word, h.frame, h.confidence.to_bits());
+        }
+        out
     }
 
     #[test]
@@ -1218,5 +1520,172 @@ mod tests {
         let b = diamond(1.0);
         assert!(a.bit_identical(&diamond(10.0)));
         assert!(!a.bit_identical(&b));
+    }
+
+    #[test]
+    fn epsilon_cycle_falls_back_to_index_order() {
+        // Frame 1 holds an epsilon cycle A -> B -> A. Kahn's order stalls
+        // on it, so A, B and everything after them are appended in node
+        // index order; the backward scores and posteriors below follow
+        // from exactly that order (B is settled before A, so B's backward
+        // score cannot see the cycle arc back to A).
+        let (s, a, b, f) = (key(0, 0), key(1, 1), key(2, 2), key(3, 3));
+        let lat = build_tape(
+            s,
+            &[
+                Op::Frame,
+                Op::Emit(s, a, 1, 1.0),
+                Op::Emit(s, b, 2, 2.0),
+                Op::Eps(a, b, 0, 1.5),
+                Op::Eps(b, a, 3, 2.5),
+                Op::Frame,
+                Op::Emit(a, f, 0, 3.0),
+                Op::Emit(b, f, 0, 3.5),
+            ],
+            &[f],
+            10.0,
+        );
+        assert_eq!(
+            dump(&lat),
+            "start 0 frames 2 best 0x40400000\n\
+             node 0 0x0 0x0 0x40400000 0x0 0x40147676\n\
+             node 1 0x100000001 0x3f800000 0x40000000 0x3f3192ac 0x3fc35172\n\
+             node 1 0x200000002 0x3fc00000 0x40000000 0x3f835172 0x40000000\n\
+             node 2 0x300000003 0x40400000 0x0 0x40147676 0x0\n\
+             arc 0 1 1 0x3f800000 0x3f504d16\n\
+             arc 0 2 2 0x40000000 0x3e3ecba5\n\
+             arc 1 2 0 0x3f000000 0x3ed5aa4f\n\
+             arc 1 3 0 0x40000000 0x3f302322\n\
+             arc 2 1 3 0x3f800000 0x3e955667\n\
+             arc 2 3 0 0x40000000 0x3efcae99\n\
+             final 3 0x0\n\
+             nbest [1] 0x40400000\n\
+             nbest [2] 0x40800000\n\
+             nbest [1, 3] 0x40900000\n\
+             nbest [2, 3] 0x40a00000\n\
+             nbest [1, 3, 3] 0x40c00000\n\
+             nbest [2, 3, 3] 0x40d00000\n\
+             nbest [1, 3, 3, 3] 0x40f00000\n\
+             nbest [2, 3, 3, 3] 0x41000000\n\
+             hyp 1 0 0x3f504d16\n"
+        );
+    }
+
+    #[test]
+    fn source_only_node_is_numbered_but_pruned() {
+        // X never receives a relaxation (nor is it the start), yet emits
+        // into B; Y likewise only relaxes within frame 1. Neither has a
+        // forward cost, so their arcs drop and they never reach the
+        // lattice, but B's forward score still takes X's record.
+        let (s, a, b, x, y, f) = (
+            key(0, 0),
+            key(1, 1),
+            key(2, 2),
+            key(0, 7),
+            key(5, 5),
+            key(3, 3),
+        );
+        let lat = build_tape(
+            s,
+            &[
+                Op::Frame,
+                Op::Emit(s, a, 1, 1.0),
+                Op::Emit(x, b, 2, 0.5),
+                Op::Emit(s, b, 2, 2.0),
+                Op::Eps(y, a, 0, 0.25),
+                Op::Frame,
+                Op::Emit(a, f, 0, 3.0),
+                Op::Emit(b, f, 4, 3.5),
+            ],
+            &[f],
+            10.0,
+        );
+        assert_eq!(
+            dump(&lat),
+            "start 0 frames 2 best 0x40400000\n\
+             node 0 0x0 0x0 0x40700000 0x0 0x405fe065\n\
+             node 1 0x100000001 0x3e800000 0x40300000 0x3f800000 0x40300000\n\
+             node 1 0x200000002 0x3f000000 0x40400000 0x40000000 0x40400000\n\
+             node 2 0x300000003 0x40400000 0x0 0x405fe065 0x0\n\
+             arc 0 1 1 0x3f800000 0x3f46fd20\n\
+             arc 0 2 2 0x40000000 0x3e640b82\n\
+             arc 1 3 0 0x40300000 0x3f46fd20\n\
+             arc 2 3 4 0x40400000 0x3e640b82\n\
+             final 3 0x0\n\
+             nbest [1] 0x40700000\n\
+             nbest [2, 4] 0x40a00000\n\
+             hyp 1 0 0x3f46fd20\n"
+        );
+    }
+
+    #[test]
+    fn zero_frame_tape_is_the_seed_closure() {
+        // No frame was expanded: the lattice is the seed closure alone,
+        // with every closure token final.
+        let (s, a, b) = (key(0, 0), key(1, 1), key(2, 2));
+        let lat = build_tape(
+            s,
+            &[
+                Op::Eps(s, a, 5, 1.0),
+                Op::Eps(s, b, 6, 2.0),
+                Op::Eps(a, b, 7, 1.5),
+            ],
+            &[s, a, b],
+            10.0,
+        );
+        assert_eq!(
+            dump(&lat),
+            "start 0 frames 0 best 0x0\n\
+             node 0 0x0 0x0 0x0 0x0 0xbf0bc713\n\
+             node 0 0x100000001 0x3f800000 0x0 0x3f800000 0xbef2ba38\n\
+             node 0 0x200000002 0x3fc00000 0x0 0x3f835172 0x0\n\
+             arc 0 1 5 0x3f800000 0x3eaf4826\n\
+             arc 0 2 6 0x40000000 0x3da08d18\n\
+             arc 1 2 7 0x3f000000 0x3e045a1f\n\
+             final 0 0x0\n\
+             final 1 0x0\n\
+             final 2 0x0\n\
+             nbest [] 0x0\n\
+             nbest [5] 0x3f800000\n\
+             nbest [5, 7] 0x3fc00000\n\
+             nbest [6] 0x40000000\n"
+        );
+    }
+
+    #[test]
+    fn final_tokens_without_outgoing_records() {
+        // The final population's tokens only ever appear as destinations
+        // (F, and H through a closure arc), and G sits in the population
+        // without any record at all: it is numbered, has no forward cost
+        // and is pruned.
+        let (s, a, f, g, h) = (key(0, 0), key(1, 1), key(3, 3), key(2, 9), key(4, 4));
+        let lat = build_tape(
+            s,
+            &[
+                Op::Frame,
+                Op::Emit(s, a, 1, 1.0),
+                Op::Frame,
+                Op::Emit(a, f, 0, 2.0),
+                Op::Eps(f, h, 8, 2.5),
+            ],
+            &[h, g, f],
+            10.0,
+        );
+        assert_eq!(
+            dump(&lat),
+            "start 0 frames 2 best 0x40000000\n\
+             node 0 0x0 0x0 0x40000000 0x0 0x3fc35172\n\
+             node 1 0x100000001 0x3f800000 0x3f800000 0x3f800000 0x3f06a2e4\n\
+             node 2 0x300000003 0x40000000 0x0 0x40000000 0xbef2ba38\n\
+             node 2 0x400000004 0x40200000 0x0 0x40200000 0x0\n\
+             arc 0 1 1 0x3f800000 0x3f800000\n\
+             arc 1 2 0 0x3f800000 0x3f800000\n\
+             arc 2 3 8 0x3f000000 0x3ec14d03\n\
+             final 2 0x0\n\
+             final 3 0x0\n\
+             nbest [1] 0x40000000\n\
+             nbest [1, 8] 0x40200000\n\
+             hyp 1 0 0x3f800000\n"
+        );
     }
 }

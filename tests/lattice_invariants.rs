@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use unfold::{System, TaskSpec};
-use unfold_am::AcousticScores;
+use unfold_am::{synthesize_utterance, AcousticScores, NoiseModel};
 use unfold_decoder::{
     nbest_list, AmSource, DecodeConfig, DecodeResult, LmSource, NullSink, OtfDecoder,
     StreamSession, WordLattice, WorkScratch,
@@ -255,5 +255,161 @@ proptest! {
         prop_assert_eq!(lattice.best_cost().to_bits(), res.cost.to_bits());
         let nb = lattice.nbest(1);
         prop_assert_eq!(&nb[0].0, &res.words);
+    }
+}
+
+/// FNV-1a over the bits of every value folded in: a digest of lattice
+/// outputs that changes if any float bit, index or ordering does.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f32(&mut self, v: f32) {
+        self.u64(u64::from(v.to_bits()));
+    }
+
+    fn words(&mut self, words: &[u32]) {
+        self.u64(words.len() as u64);
+        for &w in words {
+            self.u64(u64::from(w));
+        }
+    }
+}
+
+#[test]
+fn lattice_outputs_are_pinned() {
+    // Every output the lattice post-pass produces — node scores, arc
+    // weights and posteriors, finals, N-best lists, best-path confidences
+    // and (on `tiny`) the exhaustive bounded enumeration — folded into
+    // one digest per preset. The digests were recorded from the original
+    // BTreeMap-numbered builder and Vec-cloning path walk; any change to
+    // the post-pass must reproduce them bit for bit.
+    const PINNED: [(&str, u64); 2] = [
+        ("tiny", 0x336d_03ff_2bd6_984b),
+        ("Kaldi-TEDLIUM", 0xc63c_6a33_c092_8671),
+    ];
+    for (spec, want) in [TaskSpec::tiny(), TaskSpec::tedlium_kaldi()]
+        .into_iter()
+        .zip(PINNED)
+    {
+        assert_eq!(spec.name, want.0);
+        let system = System::build(&spec);
+        let mut d = Digest::new();
+        // The preset's own test utterances are recognized with one word
+        // sequence even inside the wide beam, so on `tiny` two short
+        // utterances synthesized with flattened scores add lattices with
+        // genuinely competing sequences. The digest must cover those
+        // alternatives, and completed `paths_within` enumerations.
+        let mut utts = system.test_utterances(3);
+        if spec.name == "tiny" {
+            let flat = NoiseModel {
+                true_cost: 1.0,
+                wrong_cost: 2.2,
+                confusable_cost: 1.2,
+                noise_sigma: 0.7,
+                ..spec.noise
+            };
+            for (i, seed) in [(0usize, 5u64), (1, 6)] {
+                let words = utts[i].words[..3].to_vec();
+                utts.push(synthesize_utterance(
+                    &words,
+                    &system.lexicon,
+                    spec.topology,
+                    &flat,
+                    seed,
+                ));
+            }
+        }
+        let (mut alternatives, mut enumerated) = (0usize, 0usize);
+        for utt in &utts {
+            for lattice_beam in [DecodeConfig::default().lattice_beam, 12.0] {
+                let cfg = DecodeConfig::builder()
+                    .lattice_beam(lattice_beam)
+                    .build()
+                    .unwrap();
+                let (res, lattice) =
+                    lattice_decode(cfg, &system.am.fst, &system.lm_fst, &utt.scores);
+                d.u64(lattice.start().into());
+                d.u64(lattice.num_frames().into());
+                d.f32(lattice.best_cost());
+                d.u64(lattice.nodes().len() as u64);
+                for n in lattice.nodes() {
+                    d.u64(n.frame.into());
+                    d.u64(n.key);
+                    for v in [n.forward, n.backward, n.log_forward, n.log_backward] {
+                        d.f32(v);
+                    }
+                }
+                d.u64(lattice.arcs().len() as u64);
+                for a in lattice.arcs() {
+                    d.u64(a.from.into());
+                    d.u64(a.to.into());
+                    d.u64(a.word.into());
+                    d.f32(a.weight);
+                    d.f32(a.posterior);
+                }
+                d.u64(lattice.finals().len() as u64);
+                for &(n, fw) in lattice.finals() {
+                    d.u64(n.into());
+                    d.f32(fw);
+                }
+                let nbest = lattice.nbest(8);
+                alternatives += nbest.len().saturating_sub(1);
+                d.u64(nbest.len() as u64);
+                for (words, cost) in &nbest {
+                    d.words(words);
+                    d.f32(*cost);
+                }
+                let detail = lattice.best_path_detail();
+                d.u64(detail.len() as u64);
+                for h in &detail {
+                    d.u64(h.word.into());
+                    d.u64(h.frame.into());
+                    d.f32(h.confidence);
+                }
+                let list = nbest_list(&res, &lattice, 8);
+                d.u64(list.len() as u64);
+                for (words, cost) in &list {
+                    d.words(words);
+                    d.f32(*cost);
+                }
+                if spec.name == "tiny" {
+                    match lattice.paths_within(lattice.best_cost() + 4.0, 200_000) {
+                        Some(all) => {
+                            enumerated += 1;
+                            d.u64(all.len() as u64);
+                            for (words, cost) in &all {
+                                d.words(words);
+                                d.u64(cost.to_bits());
+                            }
+                        }
+                        None => d.u64(u64::MAX),
+                    }
+                }
+            }
+        }
+        println!(
+            "{}: {:#018x} ({alternatives} alternatives, {enumerated} enumerations)",
+            spec.name, d.0
+        );
+        if spec.name == "tiny" {
+            assert!(alternatives > 0, "tiny: no N-best alternatives");
+            assert!(enumerated > 0, "tiny: no enumeration completed");
+        }
+        assert_eq!(
+            d.0, want.1,
+            "{}: lattice outputs changed (digest {:#018x})",
+            spec.name, d.0
+        );
     }
 }
